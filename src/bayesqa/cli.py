@@ -24,7 +24,7 @@ from . import metrics as mt
 from . import netops
 from .errors import BayesqaError, NetworkFormatError
 from .inference import conditional_query, eliminate
-from .model import load_network, network_from_dict, network_to_json, validate
+from .model import load_network, network_from_dict, network_to_json, read_input, validate
 from .problog import (
     bn_to_problog,
     enumerate_worlds,
@@ -60,19 +60,11 @@ def _binding(text: str, parser: argparse.ArgumentParser) -> tuple[str, str]:
 
 
 def _load_json(path: str) -> object:
+    text = read_input(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise NetworkFormatError(f"{path}: no such file") from None
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"{path}: not valid JSON ({exc})") from None
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise NetworkFormatError(f"{path}: no such file") from None
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -128,7 +120,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    program = parse(_read_text(args.program))
+    program = parse(read_input(args.program))
     if args.method == "worlds":
         answers = enumerate_worlds(program)
     else:
@@ -150,7 +142,7 @@ def cmd_to_problog(args: argparse.Namespace) -> int:
 
 
 def cmd_from_problog(args: argparse.Namespace) -> int:
-    program = parse(_read_text(args.program))
+    program = parse(read_input(args.program))
     net = problog_to_bn(program, name=args.name)
     _write_or_print(network_to_json(net), args.out)
     return 0
@@ -175,7 +167,6 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
             net,
             args.count,
             args.seed,
-            workers=args.workers,
             second_closest_prob=args.second_closest,
             stream=k,
         )
@@ -362,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--kind", choices=("numeric", "wep", "both"), default="both")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect (generation is serial)")
     p.add_argument("--second-closest", type=float, default=0.1)
 
     p = add("wep", cmd_wep, "map a probability to a phrase or back")

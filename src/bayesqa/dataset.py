@@ -11,14 +11,15 @@ conditional inference on the network.
 Determinism contract: ``generate_dataset(network, count, seed)`` is a pure
 function of its arguments. Randomness comes from per-purpose
 ``numpy.random.SeedSequence`` streams — one for premise verbalization, one
-per instance index — so results do not depend on generation order or on the
-``workers`` setting, and serialized output is byte-identical across runs.
+per instance index — so results do not depend on generation order, and
+serialized output is byte-identical across runs. Instances are built
+serially: the work is pure Python, and a thread pool measured slower than
+one thread. The ``workers`` keyword is still accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,6 +33,7 @@ from .model import (
     children,
     parent_assignments,
     parents,
+    read_input,
     topological_order,
     validate,
 )
@@ -306,8 +308,8 @@ def generate_dataset(
     """Generate ``count`` instances for one network.
 
     ``stream`` separates the substreams of several networks generated under
-    one seed (the CLI passes the network's position). Output is independent
-    of ``workers``.
+    one seed (the CLI passes the network's position). ``workers`` is
+    accepted for compatibility and has no effect: generation is serial.
     """
 
     if count <= 0:
@@ -357,10 +359,7 @@ def generate_dataset(
             index=i,
         )
 
-    if workers <= 1:
-        return [build(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(build, range(count)))
+    return [build(i) for i in range(count)]
 
 
 def instance_program(network: BayesianNetwork, instance: DatasetInstance) -> ProblogProgram:
@@ -470,7 +469,7 @@ def save_dataset(instances: Sequence[DatasetInstance], path: str | Path) -> None
 
 def load_dataset(path: str | Path) -> list[DatasetInstance]:
     out = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(read_input(path).splitlines()):
         if not line.strip():
             continue
         try:

@@ -4,14 +4,18 @@ Two independent engines answer the same questions:
 
 * enumeration — a direct sum over completions of the chain-rule product.
   Simple enough to audit by hand; exponential in the number of free
-  variables, so it doubles as the oracle for everything else.
+  variables, so it doubles as the oracle for everything else. The one sweep
+  is :func:`constrained_sweep`; :func:`joint_probability`, :func:`marginal`
+  and :func:`conditional_query` are thin wrappers over it.
 * variable elimination — numpy factor tables, min-degree elimination order
   with lexicographic tie-breaking. Exact, and fast enough for the network
-  sizes this package targets.
+  sizes this package targets. :func:`masked_posterior` returns the
+  unnormalized vector; :func:`posterior` is the one place it is normalized,
+  and :func:`eliminate` reads one entry of that result.
 
-Evidence is given as ``{variable: state}``; the elimination path additionally
-accepts a *set* of allowed states per variable, which is what conditioning on
-a negated logic-program atom needs.
+Evidence is given as ``{variable: state}``; both engines additionally accept
+a *set* of allowed states per variable (checked by one shared validator),
+which is what conditioning on a negated logic-program atom needs.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import BayesianNetwork, topological_order
+from .model import BayesianNetwork, state_index, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
@@ -79,18 +83,17 @@ class _Tables:
                 rows.append(tuple(cpt.rows[key]))
             self.probs.append(rows)
 
-    def resolve(self, assignment: Mapping[str, str]) -> dict[int, int]:
-        """Map {variable: state} to {position: state index}, checking names."""
 
-        out: dict[int, int] = {}
-        for var, state in assignment.items():
-            if var not in self.pos:
-                raise UnknownVariable(f"unknown variable {var!r}")
-            try:
-                out[self.pos[var]] = self.state_idx[var][state]
-            except KeyError:
-                raise UnknownState(f"variable {var!r} has no state {state!r}") from None
-        return out
+def _normalize_constraints(network: BayesianNetwork, constraints: Constraints) -> dict[str, frozenset[str]]:
+    out: dict[str, frozenset[str]] = {}
+    for var, allowed in constraints.items():
+        states = network.states(var)  # raises UnknownVariable
+        wanted = frozenset([allowed]) if isinstance(allowed, str) else frozenset(allowed)
+        for s in wanted:
+            if s not in states:
+                raise UnknownState(f"variable {var!r} has no state {s!r}")
+        out[var] = wanted
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +116,11 @@ def _chain_product(t: _Tables, world: Sequence[int]) -> float:
 def joint_probability(network: BayesianNetwork, assignment: Mapping[str, str]) -> float:
     """Chain-rule probability of a *full* assignment."""
 
-    t = _Tables(network)
-    fixed = t.resolve(assignment)
-    if len(fixed) != len(t.order):
-        missing = sorted(set(t.order) - {t.order[i] for i in fixed})
+    _normalize_constraints(network, assignment)  # unknown names before missing ones
+    missing = sorted(set(network.variables) - set(assignment))
+    if missing:
         raise UnknownVariable(f"assignment must cover every variable; missing: {', '.join(missing)}")
-    world = [0] * len(t.order)
-    for i, s in fixed.items():
-        world[i] = s
-    return _chain_product(t, world)
+    return constrained_sweep(network, assignment, ())[0]
 
 
 def marginal(network: BayesianNetwork, assignment: Mapping[str, str]) -> float:
@@ -131,18 +130,7 @@ def marginal(network: BayesianNetwork, assignment: Mapping[str, str]) -> float:
     input tables).
     """
 
-    t = _Tables(network)
-    fixed = t.resolve(assignment)
-    free = [i for i in range(len(t.order)) if i not in fixed]
-    world = [0] * len(t.order)
-    for i, s in fixed.items():
-        world[i] = s
-    total = 0.0
-    for combo in itertools.product(*(range(t.card[i]) for i in free)):
-        for pos, s in zip(free, combo):
-            world[pos] = s
-        total += _chain_product(t, world)
-    return total
+    return constrained_sweep(network, assignment, ())[0]
 
 
 def conditional_query(
@@ -161,24 +149,7 @@ def conditional_query(
 
     if query_var in evidence:
         raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
-    t = _Tables(network)
-    fixed = t.resolve(evidence)
-    qidx = t.resolve({query_var: query_state})
-    (qpos, qstate), = qidx.items()
-
-    free = [i for i in range(len(t.order)) if i not in fixed]
-    world = [0] * len(t.order)
-    for i, s in fixed.items():
-        world[i] = s
-    num = 0.0
-    den = 0.0
-    for combo in itertools.product(*(range(t.card[i]) for i in free)):
-        for pos, s in zip(free, combo):
-            world[pos] = s
-        p = _chain_product(t, world)
-        den += p
-        if world[qpos] == qstate:
-            num += p
+    den, (num,) = constrained_sweep(network, evidence, [(query_var, query_state)])
     if den == 0.0:
         raise ZeroProbabilityEvidence(f"evidence {dict(evidence)!r} has probability 0")
     return QueryResult(probability=_as_probability(num / den), method="enumeration")
@@ -199,37 +170,19 @@ def constrained_sweep(
     """
 
     t = _Tables(network)
-    allowed_idx: list[list[int]] = [list(range(t.card[i])) for i in range(len(t.order))]
-    for var, allowed in dict(constraints).items():
-        if var not in t.pos:
-            raise UnknownVariable(f"unknown variable {var!r}")
-        wanted = {allowed} if isinstance(allowed, str) else set(allowed)
-        idxs = []
-        for s in wanted:
-            if s not in t.state_idx[var]:
-                raise UnknownState(f"variable {var!r} has no state {s!r}")
-            idxs.append(t.state_idx[var][s])
-        allowed_idx[t.pos[var]] = sorted(idxs)
+    allowed_idx: list[Sequence[int]] = [range(c) for c in t.card]
+    for var, allowed in _normalize_constraints(network, constraints).items():
+        allowed_idx[t.pos[var]] = sorted(t.state_idx[var][s] for s in allowed)
+    target_idx = [(state_index(network, v, s), t.pos[v]) for v, s in targets]
 
-    target_idx: list[tuple[int, int]] = []
-    for v, s in targets:
-        if v not in t.pos:
-            raise UnknownVariable(f"unknown variable {v!r}")
-        if s not in t.state_idx[v]:
-            raise UnknownState(f"variable {v!r} has no state {s!r}")
-        target_idx.append((t.pos[v], t.state_idx[v][s]))
-
-    world = [0] * len(t.order)
     total = 0.0
     nums = [0.0] * len(target_idx)
-    for combo in itertools.product(*allowed_idx):
-        for i, s in enumerate(combo):
-            world[i] = s
+    for world in itertools.product(*allowed_idx):
         p = _chain_product(t, world)
         if p == 0.0:
             continue
         total += p
-        for k, (pos, state) in enumerate(target_idx):
+        for k, (state, pos) in enumerate(target_idx):
             if world[pos] == state:
                 nums[k] += p
     return total, nums
@@ -272,18 +225,6 @@ def _sum_out(f: _Factor, var: str) -> _Factor:
     axis = f.vars.index(var)
     rest = f.vars[:axis] + f.vars[axis + 1 :]
     return _Factor(rest, f.values.sum(axis=axis))
-
-
-def _normalize_constraints(network: BayesianNetwork, constraints: Constraints) -> dict[str, frozenset[str]]:
-    out: dict[str, frozenset[str]] = {}
-    for var, allowed in constraints.items():
-        states = network.states(var)  # raises UnknownVariable
-        wanted = frozenset([allowed]) if isinstance(allowed, str) else frozenset(allowed)
-        for s in wanted:
-            if s not in states:
-                raise UnknownState(f"variable {var!r} has no state {s!r}")
-        out[var] = wanted
-    return out
 
 
 def masked_posterior(
@@ -351,13 +292,17 @@ def posterior(
     variable: str,
     constraints: Constraints = (),
 ) -> tuple[float, ...]:
-    """Normalized posterior over ``variable`` given set-valued constraints."""
+    """Normalized posterior over ``variable`` given set-valued constraints.
+
+    The only normalization of :func:`masked_posterior`; raises
+    :class:`ZeroProbabilityEvidence` when the constraints have mass 0.
+    """
 
     values = masked_posterior(network, variable, dict(constraints))
     total = float(values.sum())
     if total == 0.0:
-        raise ZeroProbabilityEvidence(f"constraints {dict(constraints)!r} have probability 0")
-    return tuple(_as_probability(v / total) for v in values)
+        raise ZeroProbabilityEvidence(f"evidence {dict(constraints)!r} has probability 0")
+    return tuple(_as_probability(v / total) for v in values.tolist())
 
 
 def eliminate(
@@ -373,14 +318,8 @@ def eliminate(
 
     if query_var in evidence:
         raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
-    from .model import state_index  # local import to keep module load light
-
     qstate = state_index(network, query_var, query_state)
-    values = masked_posterior(network, query_var, dict(evidence))
-    den = float(values.sum())
-    if den == 0.0:
-        raise ZeroProbabilityEvidence(f"evidence {dict(evidence)!r} has probability 0")
-    return QueryResult(probability=_as_probability(float(values[qstate]) / den), method="elimination")
+    return QueryResult(probability=posterior(network, query_var, evidence)[qstate], method="elimination")
 
 
 def _as_probability(value: float) -> float:

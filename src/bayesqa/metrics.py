@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import NetworkFormatError, PredictionMismatch
 from .dataset import DatasetInstance
+from .model import read_input
 
 RELATIVE_TOLERANCE = 1e-4
 ABSOLUTE_FLOOR = 1e-9
@@ -188,7 +189,7 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     out = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(read_input(path).splitlines()):
         if not line.strip():
             continue
         try:

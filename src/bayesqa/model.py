@@ -414,10 +414,19 @@ def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = T
     return net
 
 
+def read_input(path: str | Path) -> str:
+    """Read a UTF-8 input file; a missing file is a :class:`NetworkFormatError`."""
+
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise NetworkFormatError(f"{path}: no such file") from None
+
+
 def load_network(path: str | Path, *, renormalize: bool = False) -> BayesianNetwork:
     """Load and validate a network file; see :func:`network_from_dict`."""
 
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -339,7 +339,7 @@ def _shared_entity(drafts: dict[object, _VarDraft]) -> str | None:
             entities.add(args[0])
     if len(entities) == 1:
         return next(iter(entities))
-    return None if entities else None
+    return None
 
 
 def _variable_id(key: object, entity: str | None) -> str:

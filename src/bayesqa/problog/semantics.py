@@ -20,7 +20,7 @@ from ..errors import (
     UnstratifiedNegation,
     ZeroProbabilityEvidence,
 )
-from ..inference import constrained_sweep
+from ..inference import constrained_sweep, posterior
 from .convert import compile_program
 from .syntax import Atom, ProblogProgram, format_atom
 
@@ -56,22 +56,10 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
             )
         return {q.atom: num / den for q, num in zip(program.queries, nums)}
 
-    from ..inference import masked_posterior
-
-    out: dict[Atom, float] = {}
-    for q, (vid, state) in zip(program.queries, targets):
-        values = masked_posterior(net, vid, constraints)
-        den = float(values.sum())
-        if den == 0.0:
-            raise ZeroProbabilityEvidence(
-                f"evidence {[format_atom(e.atom) for e in program.evidence]} has probability 0"
-            )
-        idx = net.states(vid).index(state)
-        mass = float(values[idx])
-        if vid in constraints and state not in constraints[vid]:
-            mass = 0.0
-        out[q.atom] = mass / den
-    return out
+    return {
+        q.atom: posterior(net, vid, constraints)[net.states(vid).index(state)]
+        for q, (vid, state) in zip(program.queries, targets)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -67,10 +67,24 @@ class TestValidate:
         assert report["valid"] is False
         assert any(v["kind"] == "row-sum" for v in report["violations"])
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "validate", "no/such/file.json")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", "no/such/file.json"),
+            ("infer", "no/such/file.json", "--query", "a=b"),
+            ("gen-dataset", "no/such/file.json", "--count", "1", "--out", "{tmp}/out"),
+            ("baseline", "no/such/dataset.jsonl"),
+            ("score", "{tmp}/empty.jsonl", "no/such/preds.jsonl"),
+            ("stats", NET, "--dataset", "no/such/dataset.jsonl"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_file(self, capsys, tmp_path, argv):
+        (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+        code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 1
         assert "error: NetworkFormatError" in err
+        assert "no such file" in err
 
 
 class TestInfer:

@@ -64,6 +64,18 @@ class TestEvaluate:
             got = evaluate(parse(text), method=method)[Atom("amylase", ("patient", "high"))]
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_evidence_excluding_the_queried_state(self):
+        # the evidence constrains the queried variable away from the queried state
+        text = (
+            "0.5::amylase(patient, low); 0.3::amylase(patient, mid);"
+            " 0.2::amylase(patient, high).\n"
+            "evidence(amylase(patient, low), false).\n"
+            "query(amylase(patient, low)).\n"
+        )
+        for method in ("enumeration", "elimination"):
+            got = evaluate(parse(text), method=method)[Atom("amylase", ("patient", "low"))]
+            assert got == 0.0, method
+
     def test_impossible_evidence(self):
         text = "1.0::a(e).\nevidence(a(e), false).\nquery(a(e)).\n"
         for method in ("enumeration", "elimination"):
