@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,13 +157,21 @@ def cmd_subset(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
+    networks = [load_network(path) for path in args.networks]
+    seen: dict[str, str] = {}
+    for path, net in zip(args.networks, networks):
+        if net.name in seen:
+            # instance ids and program file names start with the network name
+            raise NetworkFormatError(
+                f"network name {net.name!r} is used by both {seen[net.name]} and {path}"
+            )
+        seen[net.name] = path
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     kinds = ("numeric", "wep") if args.kind == "both" else (args.kind,)
     all_instances = []
     programs = 0
-    for k, path in enumerate(args.networks):
-        net = load_network(path)
+    for k, net in enumerate(networks):
         instances = ds.generate_dataset(
             net,
             args.count,
@@ -170,11 +179,13 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
             second_closest_prob=args.second_closest,
             stream=k,
         )
+        encoder = ds.NetworkEncoder(net)
+        # every instance of one network carries the same premises tuple
+        premises = ds.filter_premises(instances[0], kinds).premises
         for inst in instances:
-            program = ds.instance_program(net, inst)
-            (outdir / f"{inst.id}.pl").write_text(serialize(program), encoding="utf-8")
+            (outdir / f"{inst.id}.pl").write_text(encoder.text(inst), encoding="utf-8")
             programs += 1
-            all_instances.append(ds.filter_premises(inst, kinds))
+            all_instances.append(replace(inst, premises=premises))
     dataset_path = outdir / "dataset.jsonl"
     ds.save_dataset(all_instances, dataset_path)
     _emit(

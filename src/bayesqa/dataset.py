@@ -15,6 +15,13 @@ per instance index — so results do not depend on generation order, and
 serialized output is byte-identical across runs. Instances are built
 serially: the work is pure Python, and a thread pool measured slower than
 one thread. The ``workers`` keyword is still accepted and has no effect.
+
+Whatever depends only on the network is built once per network and shared
+by its instances: the premises tuple, the program encoding
+(:class:`NetworkEncoder`: ``bn_to_problog`` clauses, their canonical text
+and the predicates a negated-query indicator must avoid), and, in
+:func:`save_dataset`, the JSON text of the premise block. Per instance, only
+the evidence, the query and the record fields are encoded.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from .problog.syntax import (
     ProbHead,
     ProblogProgram,
     Query,
+    join_statements,
+    statement_lines,
 )
 from .wep import verbalize_distribution
 
@@ -362,38 +371,80 @@ def generate_dataset(
     return [build(i) for i in range(count)]
 
 
-def instance_program(network: BayesianNetwork, instance: DatasetInstance) -> ProblogProgram:
-    """The instance as a runnable program: encoding + evidence + query.
+class NetworkEncoder:
+    """The program encoding of one network, built once and shared by its instances.
 
-    A query about the second state of a two-state variable has no atom of its
-    own, so a fresh deterministic indicator is added
-    (``1.0::neg(e) :- not p(e).`` plus a ``0.0::`` row to keep clause bodies
-    exhaustive) and queried instead.
+    Holds the ``bn_to_problog`` clauses, the head predicates a negated-query
+    indicator must not reuse, and the clauses' canonical text lines, so each
+    instance only adds its evidence, its query and, when needed, an indicator.
     """
 
-    base = bn_to_problog(network)
-    clauses = list(base.clauses)
-    evidence = []
-    for b in instance.evidence:
-        atom, positive = atom_for(network, b.variable, b.state)
-        evidence.append(Evidence(atom=atom, value=positive))
+    def __init__(self, network: BayesianNetwork) -> None:
+        self.network = network
+        self.base = bn_to_problog(network)
+        self._heads = frozenset(h.atom.predicate for c in self.base.clauses for h in c.heads)
+        self._base_lines = statement_lines(self.base)
 
-    qatom, positive = atom_for(network, instance.question.variable, instance.question.state)
-    if positive:
-        query_atom = qatom
-    else:
-        neg_pred = f"not_{qatom.predicate}"
-        taken = {h.atom.predicate for c in clauses for h in c.heads}
-        while neg_pred in taken:
-            neg_pred += "_"
-        query_atom = Atom(neg_pred, qatom.args)
-        clauses.append(Clause(heads=(ProbHead(1.0, query_atom),), body=(Literal(qatom, True),)))
-        clauses.append(Clause(heads=(ProbHead(0.0, query_atom),), body=(Literal(qatom, False),)))
-    return ProblogProgram(
-        clauses=tuple(clauses),
-        evidence=tuple(evidence),
-        queries=(Query(query_atom),),
-    )
+    def extension(
+        self,
+        evidence: Iterable[tuple[str, str]],
+        queries: Iterable[tuple[str, str]],
+    ) -> ProblogProgram:
+        """What a program adds to :attr:`base`: point evidence, one query per
+        ``(variable, state)``, and the clauses those queries need.
+
+        The second state of a two-state variable has no atom of its own, so a
+        fresh deterministic indicator is defined (``1.0::neg(e) :- not p(e).``
+        plus a ``0.0::`` row to keep clause bodies exhaustive) and queried
+        instead.
+        """
+
+        clauses: list[Clause] = []
+        atoms = []
+        for variable, state in queries:
+            atom, positive = atom_for(self.network, variable, state)
+            if not positive:
+                pred = f"not_{atom.predicate}"
+                while pred in self._heads:
+                    pred += "_"
+                indicator = Atom(pred, atom.args)
+                clauses.append(Clause(heads=(ProbHead(1.0, indicator),), body=(Literal(atom, True),)))
+                clauses.append(Clause(heads=(ProbHead(0.0, indicator),), body=(Literal(atom, False),)))
+                atom = indicator
+            atoms.append(atom)
+        return ProblogProgram(
+            clauses=tuple(clauses),
+            evidence=tuple(
+                Evidence(*atom_for(self.network, variable, state)) for variable, state in evidence
+            ),
+            queries=tuple(Query(atom) for atom in atoms),
+        )
+
+    def program(self, instance: DatasetInstance) -> ProblogProgram:
+        """The instance as a runnable program: encoding + evidence + query."""
+
+        extra = self.extension(*_goals(instance))
+        return replace(extra, clauses=self.base.clauses + extra.clauses)
+
+    def text(self, instance: DatasetInstance) -> str:
+        """``serialize(self.program(instance))``, reusing the base clauses' text."""
+
+        return join_statements(self._base_lines + statement_lines(self.extension(*_goals(instance))))
+
+
+def _goals(instance: DatasetInstance) -> tuple[list[tuple[str, str]], list[tuple[str, str]]]:
+    evidence = [(b.variable, b.state) for b in instance.evidence]
+    return evidence, [(instance.question.variable, instance.question.state)]
+
+
+def instance_program(network: BayesianNetwork, instance: DatasetInstance) -> ProblogProgram:
+    """The instance as a runnable program; see :meth:`NetworkEncoder.program`.
+
+    Encodes the network anew: to build several instances of one network,
+    make one :class:`NetworkEncoder` and call it for each.
+    """
+
+    return NetworkEncoder(network).program(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +512,24 @@ def instance_from_dict(doc: dict) -> DatasetInstance:
 
 
 def save_dataset(instances: Sequence[DatasetInstance], path: str | Path) -> None:
-    """Write instances as JSON Lines (stable bytes for equal inputs)."""
+    """Write instances as JSON Lines (stable bytes for equal inputs).
 
-    lines = [json.dumps(instance_to_dict(inst), ensure_ascii=False) for inst in instances]
+    Each line is ``json.dumps(instance_to_dict(inst), ensure_ascii=False)``.
+    Instances of one network share one premises tuple, so each distinct
+    tuple is encoded once and spliced into its records.
+    """
+
+    blocks: dict[int, str] = {}
+    lines = []
+    for inst in instances:
+        block = blocks.get(id(inst.premises))
+        if block is None:
+            block = json.dumps(instance_to_dict(inst)["premises"], ensure_ascii=False)
+            blocks[id(inst.premises)] = block
+        line = json.dumps(instance_to_dict(replace(inst, premises=())), ensure_ascii=False)
+        # In JSON text a quote followed by `premises": ` opens a key, and the
+        # only key of that name in a record without premises is the top one.
+        lines.append(line.replace('"premises": []', f'"premises": {block}', 1))
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 

@@ -144,8 +144,20 @@ def format_clause(clause: Clause) -> str:
     return f"{heads} :- {', '.join(format_literal(l) for l in clause.body)}."
 
 
-def serialize(program: ProblogProgram) -> str:
+def statement_lines(program: ProblogProgram) -> list[str]:
+    """One canonical line per statement: clauses, then evidence, then queries."""
+
     lines = [format_clause(c) for c in program.clauses]
     lines += [f"evidence({format_atom(e.atom)}, {'true' if e.value else 'false'})." for e in program.evidence]
     lines += [f"query({format_atom(q.atom)})." for q in program.queries]
+    return lines
+
+
+def join_statements(lines: list[str]) -> str:
+    """The program text of :func:`statement_lines` output."""
+
     return "\n\n".join(lines) + ("\n" if lines else "")
+
+
+def serialize(program: ProblogProgram) -> str:
+    return join_statements(statement_lines(program))

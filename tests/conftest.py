@@ -68,3 +68,17 @@ def sprinkler_net():
         },
         entity="garden",
     )
+
+
+@pytest.fixture()
+def collide_net():
+    """Binary ``x`` and its child ``not_x``: the indicator for x = false
+    cannot be named ``not_x``."""
+
+    return make_network(
+        "collide",
+        {
+            "x": (("true", "false"), (), {(): (0.3, 0.7)}),
+            "not_x": (("true", "false"), ("x",), {("true",): (0.2, 0.8), ("false",): (0.6, 0.4)}),
+        },
+    )

@@ -13,11 +13,14 @@ encoded program reconstructs the original network verbatim.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from bayesqa.dataset import NetworkEncoder
 from bayesqa.model import BayesianNetwork, Cpt, Variable
-from bayesqa.problog.convert import BINARY_STATES, atom_for, bn_to_problog
-from bayesqa.problog.syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
+from bayesqa.problog.convert import BINARY_STATES
+from bayesqa.problog.syntax import Atom, ProblogProgram
 
 MICRO = 10**6
 MAX_JOINT_STATES = 4096
@@ -132,30 +135,14 @@ def query_program(
 ) -> tuple[ProblogProgram, dict[str, Atom]]:
     """Encode the network plus evidence, querying every state of one variable.
 
-    The second state of a two-state variable has no positive atom, so a
-    deterministic indicator predicate is added for it; the returned mapping
-    gives the atom whose probability equals P(query_var = state).
+    The second state of a two-state variable has no positive atom, so the
+    dataset encoder adds a deterministic indicator predicate for it; the
+    returned mapping gives the atom whose probability equals
+    P(query_var = state).
     """
 
-    base = bn_to_problog(net)
-    clauses = list(base.clauses)
-    ev = []
-    for v, s in sorted(evidence.items()):
-        atom, positive = atom_for(net, v, s)
-        ev.append(Evidence(atom=atom, value=positive))
-
-    atom_by_state: dict[str, Atom] = {}
-    for s in net.variables[query_var].states:
-        atom, positive = atom_for(net, query_var, s)
-        if positive:
-            atom_by_state[s] = atom
-        else:
-            neg = Atom(f"not_{atom.predicate}", atom.args)
-            clauses.append(Clause(heads=(ProbHead(1.0, neg),), body=(Literal(atom, True),)))
-            clauses.append(Clause(heads=(ProbHead(0.0, neg),), body=(Literal(atom, False),)))
-            atom_by_state[s] = neg
-    queries = tuple(Query(atom_by_state[s]) for s in net.variables[query_var].states)
-    return (
-        ProblogProgram(clauses=tuple(clauses), evidence=tuple(ev), queries=queries),
-        atom_by_state,
-    )
+    encoder = NetworkEncoder(net)
+    states = net.variables[query_var].states
+    extra = encoder.extension(sorted(evidence.items()), [(query_var, s) for s in states])
+    program = replace(extra, clauses=encoder.base.clauses + extra.clauses)
+    return program, {s: q.atom for s, q in zip(states, program.queries)}

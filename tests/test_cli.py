@@ -5,13 +5,23 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import netgen
 from bayesqa.cli import main
-from bayesqa.dataset import generate_dataset, load_dataset, save_dataset
+from bayesqa.dataset import (
+    filter_premises,
+    generate_dataset,
+    instance_to_dict,
+    load_dataset,
+    save_dataset,
+)
 from bayesqa.metrics import Prediction, save_predictions
-from bayesqa.model import network_from_dict, save_network
-from bayesqa.problog import parse, serialize
+from bayesqa.model import load_network, network_from_dict, save_network
+from bayesqa.problog import bn_to_problog, parse, serialize
+from bayesqa.problog.convert import atom_for
+from bayesqa.problog.syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
 from conftest import GALLSTONE_TEXT
 
 DATA = Path(__file__).parent / "data"
@@ -30,6 +40,24 @@ def sprinkler_file(tmp_path, sprinkler_net):
     path = tmp_path / "sprinkler.json"
     save_network(sprinkler_net, path)
     return str(path)
+
+
+def plain_program(net, inst) -> ProblogProgram:
+    """Reference encoding of one instance, converting the network on its own."""
+
+    clauses = list(bn_to_problog(net).clauses)
+    evidence = tuple(Evidence(*atom_for(net, b.variable, b.state)) for b in inst.evidence)
+    atom, positive = atom_for(net, inst.question.variable, inst.question.state)
+    if not positive:
+        taken = {h.atom.predicate for c in clauses for h in c.heads}
+        pred = f"not_{atom.predicate}"
+        while pred in taken:
+            pred += "_"
+        indicator = Atom(pred, atom.args)
+        clauses.append(Clause((ProbHead(1.0, indicator),), (Literal(atom, True),)))
+        clauses.append(Clause((ProbHead(0.0, indicator),), (Literal(atom, False),)))
+        atom = indicator
+    return ProblogProgram(tuple(clauses), evidence, (Query(atom),))
 
 
 def run(capsys, *argv):
@@ -225,6 +253,49 @@ class TestGenDataset:
         assert code == 0
         for inst in load_dataset(d / "dataset.jsonl"):
             assert {p.kind for p in inst.premises} == {"numeric"}
+
+    @pytest.mark.parametrize("kind", ["both", "numeric", "wep"])
+    def test_output_matches_plain_encoding(self, capsys, tmp_path, collide_net, kind):
+        rng = np.random.default_rng(["both", "numeric", "wep"].index(kind))
+        nets = [
+            netgen.random_network(rng, name=f"pin{i}", max_vars=int(rng.integers(2, 9)))
+            for i in range(30)
+        ]
+        nets.append(collide_net)
+        paths = [NET]
+        for net in nets:
+            paths.append(str(tmp_path / f"{net.name}.json"))
+            save_network(net, paths[-1])
+        seed = int(rng.integers(1000))
+        out = tmp_path / "out"
+        code, _, _ = run(
+            capsys, "gen-dataset", *paths, "--count", "5", "--seed", str(seed),
+            "--kind", kind, "--out", str(out),
+        )
+        assert code == 0
+        kinds = ("numeric", "wep") if kind == "both" else (kind,)
+        lines = (out / "dataset.jsonl").read_text(encoding="utf-8").splitlines()
+        want = []
+        for k, path in enumerate(paths):
+            net = load_network(path)
+            for inst in generate_dataset(net, 5, seed, stream=k):
+                text = (out / f"{inst.id}.pl").read_text(encoding="utf-8")
+                assert text == serialize(plain_program(net, inst))
+                want.append(json.dumps(instance_to_dict(filter_premises(inst, kinds)), ensure_ascii=False))
+        assert lines == want
+
+    def test_repeated_network_name_rejected(self, capsys, tmp_path, sprinkler_file):
+        again = tmp_path / "again.json"
+        again.write_text(Path(NET).read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "gen-dataset", NET, sprinkler_file, str(again),
+            "--count", "3", "--seed", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert "error: NetworkFormatError" in err
+        assert "'gallstone'" in err and NET in err and str(again) in err
+        assert not out.exists()
 
     def test_count_must_be_positive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from bayesqa import generate_dataset, make_network
 from bayesqa.dataset import (
     DatasetStats,
+    NetworkEncoder,
     classify_reasoning,
     dataset_stats,
     filter_premises,
@@ -23,7 +27,7 @@ from bayesqa.dataset import (
 )
 from bayesqa.errors import NetworkFormatError, UnsatisfiableEvidence
 from bayesqa.inference import eliminate
-from bayesqa.problog import evaluate
+from bayesqa.problog import evaluate, serialize
 
 GALLSTONE_ROW0 = (
     "The probability of gallstones being true is 15.31%, and the probability "
@@ -213,6 +217,21 @@ class TestGenerateDataset:
             (answer,) = evaluate(program).values()
             assert abs(answer - inst.gold) <= 1e-10
 
+    def test_negated_query_indicator_avoids_a_variable_predicate(self, collide_net):
+        encoder = NetworkEncoder(collide_net)
+        renamed = 0
+        for inst in generate_dataset(collide_net, 40, seed=1):
+            program = instance_program(collide_net, inst)
+            (query,) = program.queries
+            if (inst.question.variable, inst.question.state) == ("x", "false"):
+                assert query.atom.predicate == "not_x_"
+                renamed += 1
+            (answer,) = evaluate(program).values()
+            assert abs(answer - inst.gold) <= 1e-10
+            assert encoder.program(inst) == program
+            assert encoder.text(inst) == serialize(program)
+        assert renamed == 12
+
 
 class TestDatasetFiles:
     def test_dict_round_trip(self, gallstone_net):
@@ -226,6 +245,18 @@ class TestDatasetFiles:
         save_dataset(insts, b)
         assert a.read_bytes() == b.read_bytes()
         assert load_dataset(a) == insts
+
+    def test_lines_equal_json_dumps_of_each_record(self, gallstone_net, sprinkler_net, tmp_path):
+        # a name that reads like the premises key must not move the splice
+        named = dataclasses.replace(gallstone_net, name='say "premises": [] here')
+        insts = generate_dataset(named, 3, seed=19)
+        insts += generate_dataset(sprinkler_net, 3, seed=19, stream=1)
+        insts.append(filter_premises(insts[0], ["wep"]))
+        insts.append(filter_premises(insts[1], ["prose"]))
+        path = tmp_path / "d.jsonl"
+        save_dataset(insts, path)
+        want = [json.dumps(instance_to_dict(inst), ensure_ascii=False) for inst in insts]
+        assert path.read_text(encoding="utf-8").splitlines() == want
 
     def test_load_rejects_bad_records(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
