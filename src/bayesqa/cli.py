@@ -166,19 +166,17 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
                 f"network name {net.name!r} is used by both {seen[net.name]} and {path}"
             )
         seen[net.name] = path
+    # generate everything before touching --out, so a failure leaves no files
+    generated = [
+        ds.generate_dataset(net, args.count, args.seed, second_closest_prob=args.second_closest, stream=k)
+        for k, net in enumerate(networks)
+    ]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     kinds = ("numeric", "wep") if args.kind == "both" else (args.kind,)
     all_instances = []
     programs = 0
-    for k, net in enumerate(networks):
-        instances = ds.generate_dataset(
-            net,
-            args.count,
-            args.seed,
-            second_closest_prob=args.second_closest,
-            stream=k,
-        )
+    for net, instances in zip(networks, generated):
         encoder = ds.NetworkEncoder(net)
         # every instance of one network carries the same premises tuple
         premises = ds.filter_premises(instances[0], kinds).premises

@@ -13,9 +13,9 @@ Two independent engines answer the same questions:
   unnormalized vector; :func:`posterior` is the one place it is normalized,
   and :func:`eliminate` reads one entry of that result.
 
-Evidence is given as ``{variable: state}``; both engines additionally accept
-a *set* of allowed states per variable (checked by one shared validator),
-which is what conditioning on a negated logic-program atom needs.
+Both engines read one compiled form of the network and take evidence and
+targets through one validator. Evidence maps a variable to a state or to a
+*set* of allowed states, which conditioning on a negated program atom needs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import BayesianNetwork, state_index, topological_order
+from .model import BayesianNetwork, parent_assignments, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
@@ -49,50 +49,51 @@ class QueryResult:
 
 
 # ---------------------------------------------------------------------------
-# compiled index tables (shared by both engines)
+# the compiled network and the constraint path, read by both engines
 # ---------------------------------------------------------------------------
 
 
-class _Tables:
-    """Integer-indexed view of a network for tight inner loops."""
+class _Compiled:
+    """Integer-indexed form of a network, built once per engine call.
 
-    __slots__ = ("order", "pos", "card", "state_idx", "parent_pos", "strides", "probs")
+    ``rows[i]`` holds the stored CPT rows of ``order[i]`` (topological) in
+    :func:`parent_assignments` order; ``strides[i]`` maps parent states to a row.
+    """
+
+    __slots__ = ("order", "pos", "card", "parent_pos", "strides", "rows")
 
     def __init__(self, network: BayesianNetwork):
         self.order: tuple[str, ...] = tuple(topological_order(network))
-        self.pos: dict[str, int] = {v: i for i, v in enumerate(self.order)}
-        self.card: list[int] = [len(network.states(v)) for v in self.order]
-        self.state_idx: dict[str, dict[str, int]] = {
-            v: {s: i for i, s in enumerate(network.states(v))} for v in self.order
-        }
+        self.pos: dict[str, int] = {}
+        self.card: dict[str, int] = {}
         self.parent_pos: list[tuple[int, ...]] = []
         self.strides: list[tuple[int, ...]] = []
-        self.probs: list[list[tuple[float, ...]]] = []
-        for v in self.order:
+        self.rows: list[list[tuple[float, ...]]] = []
+        for i, v in enumerate(self.order):
             cpt = network.cpts[v]
+            self.pos[v] = i
+            self.card[v] = len(network.states(v))
             self.parent_pos.append(tuple(self.pos[p] for p in cpt.parents))
-            # mixed-radix strides: row index = sum(state_index(parent) * stride)
-            strides = []
-            acc = 1
-            for p in reversed(cpt.parents):
-                strides.append(acc)
-                acc *= len(network.states(p))
-            self.strides.append(tuple(reversed(strides)))
-            rows = []
-            for key in itertools.product(*(network.states(p) for p in cpt.parents)):
-                rows.append(tuple(cpt.rows[key]))
-            self.probs.append(rows)
+            # row-major strides; parents precede v, so their card is already set
+            ps = cpt.parents
+            self.strides.append(tuple(math.prod(self.card[q] for q in ps[j + 1 :]) for j in range(len(ps))))
+            self.rows.append([cpt.rows[key] for key in parent_assignments(network, v)])
 
 
-def _normalize_constraints(network: BayesianNetwork, constraints: Constraints) -> dict[str, frozenset[str]]:
-    out: dict[str, frozenset[str]] = {}
-    for var, allowed in constraints.items():
+def _normalize_constraints(
+    network: BayesianNetwork, pairs: Iterable[tuple[str, "AbstractSet[str] | str"]]
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Map ``(variable, state or set of states)`` pairs, in order, to sorted
+    state indices: the one place an unknown state is reported."""
+
+    out = []
+    for var, allowed in pairs:
         states = network.states(var)  # raises UnknownVariable
-        wanted = frozenset([allowed]) if isinstance(allowed, str) else frozenset(allowed)
+        wanted = (allowed,) if isinstance(allowed, str) else sorted(allowed)
         for s in wanted:
             if s not in states:
-                raise UnknownState(f"variable {var!r} has no state {s!r}")
-        out[var] = wanted
+                raise UnknownState(f"variable {var!r} has no state {s!r} (states: {', '.join(states)})")
+        out.append((var, tuple(sorted({states.index(s) for s in wanted}))))
     return out
 
 
@@ -101,13 +102,13 @@ def _normalize_constraints(network: BayesianNetwork, constraints: Constraints) -
 # ---------------------------------------------------------------------------
 
 
-def _chain_product(t: _Tables, world: Sequence[int]) -> float:
+def _chain_product(c: _Compiled, world: Sequence[int]) -> float:
     p = 1.0
     for i in range(len(world)):
         row = 0
-        for ppos, stride in zip(t.parent_pos[i], t.strides[i]):
+        for ppos, stride in zip(c.parent_pos[i], c.strides[i]):
             row += world[ppos] * stride
-        p *= t.probs[i][row][world[i]]
+        p *= c.rows[i][row][world[i]]
         if p == 0.0:
             return 0.0
     return p
@@ -116,7 +117,7 @@ def _chain_product(t: _Tables, world: Sequence[int]) -> float:
 def joint_probability(network: BayesianNetwork, assignment: Mapping[str, str]) -> float:
     """Chain-rule probability of a *full* assignment."""
 
-    _normalize_constraints(network, assignment)  # unknown names before missing ones
+    _normalize_constraints(network, assignment.items())  # unknown names before missing ones
     missing = sorted(set(network.variables) - set(assignment))
     if missing:
         raise UnknownVariable(f"assignment must cover every variable; missing: {', '.join(missing)}")
@@ -169,16 +170,16 @@ def constrained_sweep(
     ratios are exact conditional probabilities.
     """
 
-    t = _Tables(network)
-    allowed_idx: list[Sequence[int]] = [range(c) for c in t.card]
-    for var, allowed in _normalize_constraints(network, constraints).items():
-        allowed_idx[t.pos[var]] = sorted(t.state_idx[var][s] for s in allowed)
-    target_idx = [(state_index(network, v, s), t.pos[v]) for v, s in targets]
+    c = _Compiled(network)
+    allowed_idx: list[Sequence[int]] = [range(c.card[v]) for v in c.order]
+    for var, idx in _normalize_constraints(network, constraints.items()):
+        allowed_idx[c.pos[var]] = idx
+    target_idx = [(state, c.pos[v]) for v, (state,) in _normalize_constraints(network, targets)]
 
     total = 0.0
     nums = [0.0] * len(target_idx)
     for world in itertools.product(*allowed_idx):
-        p = _chain_product(t, world)
+        p = _chain_product(c, world)
         if p == 0.0:
             continue
         total += p
@@ -197,18 +198,6 @@ def constrained_sweep(
 class _Factor:
     vars: tuple[str, ...]  # always lexicographically sorted
     values: np.ndarray  # one axis per var, in the same order
-
-
-def _cpt_factor(network: BayesianNetwork, variable: str, card: Mapping[str, int]) -> _Factor:
-    cpt = network.cpts[variable]
-    scope = cpt.parents + (variable,)
-    table = np.empty([card[v] for v in scope])
-    for r, key in enumerate(itertools.product(*(network.states(p) for p in cpt.parents))):
-        idx = np.unravel_index(r, table.shape[:-1]) if cpt.parents else ()
-        table[idx] = cpt.rows[key]
-    order = tuple(sorted(scope))
-    perm = [scope.index(v) for v in order]
-    return _Factor(order, np.ascontiguousarray(np.transpose(table, perm)))
 
 
 def _align(f: _Factor, scope: tuple[str, ...], card: Mapping[str, int]) -> np.ndarray:
@@ -239,19 +228,23 @@ def masked_posterior(
     gives the probability of the constraint event.
     """
 
-    constraint_sets = _normalize_constraints(network, constraints)
+    allowed = _normalize_constraints(network, constraints.items())
     if variable not in network.variables:
         raise UnknownVariable(f"unknown variable {variable!r}")
-    card = {v: len(network.states(v)) for v in network.variables}
+    c = _Compiled(network)
+    card = c.card
 
+    # CPTs in declaration order, then masks: each bucket multiplies in this order
     factors: list[_Factor] = []
     for v in network.variables:
-        f = _cpt_factor(network, v, card)
-        factors.append(f)
-    for var, allowed in constraint_sets.items():
-        mask = np.array([1.0 if s in allowed else 0.0 for s in network.states(var)])
-        f = _Factor((var,), mask)
-        factors.append(f)
+        scope = network.cpts[v].parents + (v,)
+        axes = tuple(sorted(scope))
+        table = np.array(c.rows[c.pos[v]]).reshape([card[u] for u in scope])
+        factors.append(_Factor(axes, np.ascontiguousarray(table.transpose([scope.index(u) for u in axes]))))
+    for var, idx in allowed:
+        mask = np.zeros(card[var])
+        mask[list(idx)] = 1.0
+        factors.append(_Factor((var,), mask))
 
     to_eliminate = set(network.variables) - {variable}
     neighbors: dict[str, set[str]] = {v: set() for v in network.variables}
@@ -318,7 +311,7 @@ def eliminate(
 
     if query_var in evidence:
         raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
-    qstate = state_index(network, query_var, query_state)
+    [(_, (qstate,))] = _normalize_constraints(network, [(query_var, query_state)])
     return QueryResult(probability=posterior(network, query_var, evidence)[qstate], method="elimination")
 
 

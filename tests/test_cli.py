@@ -18,7 +18,7 @@ from bayesqa.dataset import (
     save_dataset,
 )
 from bayesqa.metrics import Prediction, save_predictions
-from bayesqa.model import load_network, network_from_dict, save_network
+from bayesqa.model import load_network, make_network, network_from_dict, save_network
 from bayesqa.problog import bn_to_problog, parse, serialize
 from bayesqa.problog.convert import atom_for
 from bayesqa.problog.syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
@@ -296,6 +296,16 @@ class TestGenDataset:
         assert "error: NetworkFormatError" in err
         assert "'gallstone'" in err and NET in err and str(again) in err
         assert not out.exists()
+
+    def test_generation_error_writes_nothing(self, capsys, tmp_path):
+        one = tmp_path / "one.json"
+        save_network(make_network("one", {"a": (("t", "f"), (), {(): (0.5, 0.5)})}), one)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err = run(capsys, "gen-dataset", NET, str(one), "--count", "3", "--out", str(out))
+        assert code == 1
+        assert "at least 2 variables" in err
+        assert list(out.iterdir()) == []  # no .pl file from the first network, no dataset.jsonl
 
     def test_count_must_be_positive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

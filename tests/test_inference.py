@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +188,28 @@ class TestElimination:
             masked_posterior(net, "a", {"b": "maybe"})
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net: conditional_query(net, "a", "maybe", {}),
+        lambda net: conditional_query(net, "a", "t", {"b": "maybe"}),
+        lambda net: eliminate(net, "a", "maybe", {}),
+        lambda net: eliminate(net, "a", "t", {"b": "maybe"}),
+        lambda net: constrained_sweep(net, {}, [("b", "maybe")]),
+        lambda net: constrained_sweep(net, {"b": {"t", "maybe"}}, []),
+        lambda net: masked_posterior(net, "a", {"b": "maybe"}),
+        lambda net: masked_posterior(net, "a", {"b": {"maybe"}}),
+    ],
+    ids=[
+        "conditional_query-query", "conditional_query-evidence", "eliminate-query", "eliminate-evidence",
+        "constrained_sweep-target", "constrained_sweep-constraint", "masked_posterior-point", "masked_posterior-set",
+    ],
+)
+def test_unknown_state_names_the_valid_states(call):
+    with pytest.raises(UnknownState, match=r"^variable '\w' has no state 'maybe' \(states: t, f\)$"):
+        call(_chain())
+
+
 class TestEngineAgreement:
     """The two engines must agree everywhere, not just on hand cases."""
 
@@ -209,12 +233,14 @@ class TestEngineAgreement:
 
 
 class TestPinnedBits:
-    """Every entry point returns exactly the float of a plain reference loop.
+    """Every entry point returns exactly the float of a plain reference.
 
-    The references sum the chain-rule product over the completions of the
-    fixed variables, in topological order with the earliest variable varying
-    slowest, and normalize the elimination vector by its sum; any change in
-    summation or division order shows up as a mismatch in the last bit.
+    The enumeration references sum the chain-rule product over the
+    completions of the fixed variables, in topological order with the earliest
+    variable varying slowest. The elimination reference rebuilds each factor
+    entry by entry and eliminates in the engine's order, and ``eliminate``
+    must equal that vector's entry over its sum. Any change in summation,
+    product or division order shows up as a mismatch in the last bit.
     """
 
     @staticmethod
@@ -250,3 +276,80 @@ class TestPinnedBits:
             want = float(values[net.states(qv).index(qs)]) / float(values.sum())
             got = eliminate(net, qv, qs, ev).probability
             assert type(got) is float and got == want, net.name
+
+    @staticmethod
+    def _with_zeros(rng, net):
+        """Move the mass of some CPT entries to their neighbours, leaving zeros."""
+
+        for v, cpt in list(net.cpts.items()):
+            rows = {}
+            for key, row in cpt.rows.items():
+                row = list(row)
+                if rng.random() < 0.3:
+                    j = int(rng.integers(len(row)))
+                    row[(j + 1) % len(row)] += row[j]
+                    row[j] = 0.0
+                rows[key] = tuple(row)
+            net.cpts[v] = replace(cpt, rows=rows)
+        return net
+
+    @staticmethod
+    def _eliminated(net, target, constraints):
+        """Elimination written out again: factors filled entry by entry in
+        declaration order, masks after them, min-degree order with
+        lexicographic ties, each bucket multiplied in list order."""
+
+        card = {v: len(net.states(v)) for v in net.variables}
+        factors = []
+        for v in net.variables:
+            cpt = net.cpts[v]
+            scope = tuple(sorted(cpt.parents + (v,)))
+            table = np.zeros([card[u] for u in scope])
+            for key in itertools.product(*(net.states(p) for p in cpt.parents)):
+                for s, p in zip(net.states(v), cpt.rows[key]):
+                    world = {**dict(zip(cpt.parents, key)), v: s}
+                    table[tuple(net.states(u).index(world[u]) for u in scope)] = p
+            factors.append((scope, table))
+        for v, allowed in constraints.items():
+            allowed = {allowed} if isinstance(allowed, str) else allowed
+            factors.append(((v,), np.array([float(s in allowed) for s in net.states(v)])))
+
+        def mul(a, b):
+            scope = tuple(sorted(set(a[0]) | set(b[0])))
+            return scope, np.multiply(*(t.reshape([card[u] if u in f else 1 for u in scope]) for f, t in (a, b)))
+
+        left = set(net.variables) - {target}
+        nbrs = {v: set() for v in net.variables}
+        for scope, _ in factors:
+            for u in scope:
+                nbrs[u] |= set(scope) - {u}
+        while left:
+            x = min(left, key=lambda v: (len(nbrs[v] & left), v))
+            bucket = [f for f in factors if x in f[0]]
+            factors = [f for f in factors if x not in f[0]]
+            if bucket:
+                scope, table = functools.reduce(mul, bucket)
+                i = scope.index(x)
+                factors.append((scope[:i] + scope[i + 1 :], table.sum(axis=i)))
+            for u in nbrs[x]:
+                nbrs[u] = (nbrs[u] | nbrs[x]) - {u, x}
+            del nbrs[x]
+            left.discard(x)
+        scope, table = functools.reduce(mul, factors, ((), np.array(1.0)))
+        return table if scope == (target,) else np.broadcast_to(table, (card[target],))
+
+    def test_elimination_against_a_reference(self):
+        rng = np.random.default_rng(5150)
+        for i in range(240):
+            net = netgen.random_network(rng, name=f"elim{i}", max_vars=7)
+            if i % 2:
+                net = self._with_zeros(rng, net)
+            qv, _, ev = netgen.random_point_query(rng, net)
+            constraints = {
+                v: s if rng.random() < 0.5 else {t for t in net.states(v) if t == s or rng.random() < 0.5}
+                for v, s in ev.items()
+            }
+            if rng.random() < 0.3:
+                constraints[qv] = {t for t in net.states(qv) if rng.random() < 0.6}
+            want = self._eliminated(net, qv, constraints)
+            assert np.array_equal(masked_posterior(net, qv, constraints), want), net.name
