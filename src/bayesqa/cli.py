@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +40,7 @@ from .wep import prob_to_wep, wep_to_prob
 
 DEFAULT_SEED = 0
 DEFAULT_PRECISION = 9
+PROGRAM_FILE = re.compile(r"(.+)-\d+\.pl")  # <network name>-<instance number>.pl
 
 
 def _fmt(value: float, args: argparse.Namespace) -> str:
@@ -173,6 +175,13 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
     ]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    # a program of one of these networks that no new instance owns is stale
+    names = {net.name for net in networks}
+    owned = {f"{inst.id}.pl" for instances in generated for inst in instances}
+    for path in outdir.iterdir():
+        match = PROGRAM_FILE.fullmatch(path.name)
+        if match and match.group(1) in names and path.name not in owned:
+            path.unlink()
     kinds = ("numeric", "wep") if args.kind == "both" else (args.kind,)
     all_instances = []
     programs = 0

@@ -29,11 +29,10 @@ import numpy as np
 
 from .errors import (
     QueryEvidenceOverlap,
-    UnknownState,
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import BayesianNetwork, parent_assignments, topological_order
+from .model import BayesianNetwork, parent_assignments, state_index, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
@@ -84,16 +83,13 @@ def _normalize_constraints(
     network: BayesianNetwork, pairs: Iterable[tuple[str, "AbstractSet[str] | str"]]
 ) -> list[tuple[str, tuple[int, ...]]]:
     """Map ``(variable, state or set of states)`` pairs, in order, to sorted
-    state indices: the one place an unknown state is reported."""
+    state indices; an unknown state fails in :func:`model.state_index`."""
 
     out = []
     for var, allowed in pairs:
-        states = network.states(var)  # raises UnknownVariable
+        network.states(var)  # an unknown variable fails even with no states wanted
         wanted = (allowed,) if isinstance(allowed, str) else sorted(allowed)
-        for s in wanted:
-            if s not in states:
-                raise UnknownState(f"variable {var!r} has no state {s!r} (states: {', '.join(states)})")
-        out.append((var, tuple(sorted({states.index(s) for s in wanted}))))
+        out.append((var, tuple(sorted({state_index(network, var, s) for s in wanted}))))
     return out
 
 
@@ -294,7 +290,9 @@ def posterior(
     values = masked_posterior(network, variable, dict(constraints))
     total = float(values.sum())
     if total == 0.0:
-        raise ZeroProbabilityEvidence(f"evidence {dict(constraints)!r} has probability 0")
+        # sorted, so the message does not depend on the process's hash seed
+        shown = {v: a if isinstance(a, str) else sorted(a) for v, a in dict(constraints).items()}
+        raise ZeroProbabilityEvidence(f"evidence {shown!r} has probability 0")
     return tuple(_as_probability(v / total) for v in values.tolist())
 
 

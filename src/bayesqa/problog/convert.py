@@ -12,15 +12,20 @@ Encoding (network → program), one statement per CPT row:
 
 Decoding inverts this, accepting any program in the fragment: head groups
 define variables, bodies define parents, and the bodies of each variable's
-clauses must partition its parent assignment grid (no overlap, no gap).
-A shared entity constant is stripped from atoms back into network metadata
-when every atom carries the same one.
+clauses must partition its parent assignment grid (no overlap, no gap; the
+first bad assignment in row-major order is reported). One atom table, built
+from the head atoms, maps each atom to ``(variable id, state)``; body
+literals, evidence and queries all resolve through it. A shared entity
+constant is stripped from atoms back into network metadata when every atom
+carries the same one.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..errors import UnknownClause, UnrepresentableName, UnsupportedFragment
 from ..model import BayesianNetwork, Cpt, Variable, parent_assignments, topological_order, validate
@@ -28,11 +33,9 @@ from .syntax import (
     BARE_CONSTANT,
     Atom,
     Clause,
-    Evidence,
     Literal,
     ProbHead,
     ProblogProgram,
-    Query,
     format_atom,
 )
 
@@ -85,75 +88,61 @@ def bn_to_problog(network: BayesianNetwork, entity: str | None = None) -> Problo
     ent = _constant_for(entity if entity is not None else network.entity, what="entity constant")
     clauses: list[Clause] = []
     for vid in topological_order(network):
-        var = network.variables[vid]
+        states = network.states(vid)
+        if len(states) == 2:
+            states = states[:1]  # the second state is the negated head atom
+        head_atoms = [atom_for(network, vid, s, ent)[0] for s in states]
         cpt = network.cpts[vid]
-        pred = _predicate_for(vid)
-        if len(var.states) == 2:
-            heads_for = lambda dist: (ProbHead(dist[0], Atom(pred, (ent,))),)
-        else:
-            state_atoms = [
-                Atom(pred, (ent, _constant_for(s, what=f"state of {vid!r}"))) for s in var.states
-            ]
-            heads_for = lambda dist: tuple(
-                ProbHead(p, a) for p, a in zip(dist, state_atoms)
-            )
         for key in parent_assignments(network, vid):
-            body = tuple(
-                _parent_literal(network, parent, state, ent)
-                for parent, state in zip(cpt.parents, key)
-            )
-            clauses.append(Clause(heads=heads_for(cpt.rows[key]), body=body))
+            literals = [atom_for(network, parent, state, ent) for parent, state in zip(cpt.parents, key)]
+            body = tuple(Literal(atom, negated=not positive) for atom, positive in literals)
+            heads = tuple(ProbHead(p, a) for p, a in zip(cpt.rows[key], head_atoms))
+            clauses.append(Clause(heads=heads, body=body))
     return ProblogProgram(clauses=tuple(clauses))
-
-
-def _parent_literal(network: BayesianNetwork, parent: str, state: str, entity: str) -> Literal:
-    atom, positive = atom_for(network, parent, state, entity)
-    return Literal(atom=atom, negated=not positive)
 
 
 # ---------------------------------------------------------------------------
 # program -> network
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class _VarDraft:
-    """A network variable being reassembled from clauses."""
-
-    key: object  # ("atom", Atom) | ("group", pred, prefix)
-    vid: str
-    states: list[str]
-    clause_rows: list[tuple[dict[str, frozenset[str]], dict[str, float], int]] = field(default_factory=list)
-    # each: (parent constraints, state -> probability, clause index)
+# A variable is keyed by its binary head atom, or by the (predicate, argument
+# prefix) its annotated-disjunction heads share.
+_VarKey = Atom | tuple[str, tuple[str, ...]]
 
 
 @dataclass
 class CompiledProgram:
-    """A program lowered to a Bayesian network plus atom-resolution tables."""
+    """A program lowered to a Bayesian network plus its atom table: every head
+    atom mapped to ``(variable id, the state the atom asserts)``."""
 
     network: BayesianNetwork
-    binary_atoms: dict[Atom, str]
-    group_vars: dict[tuple[str, tuple[str, ...]], str]
+    atoms: dict[Atom, tuple[str, str]]
 
     def resolve_atom(self, atom: Atom) -> tuple[str, str]:
         """Map a positive atom to ``(variable id, state name)``."""
 
-        if atom in self.binary_atoms:
-            return self.binary_atoms[atom], BINARY_STATES[0]
-        if atom.args:
-            key = (atom.predicate, atom.args[:-1])
-            vid = self.group_vars.get(key)
-            if vid is not None and atom.args[-1] in self.network.states(vid):
-                return vid, atom.args[-1]
-        raise UnknownClause(f"atom {format_atom(atom)} does not match any defined atom")
+        try:
+            return self.atoms[atom]
+        except KeyError:
+            raise UnknownClause(f"atom {format_atom(atom)} does not match any defined atom") from None
 
     def constraint_for(self, atom: Atom, value: bool) -> tuple[str, frozenset[str]]:
         """Evidence atom -> allowed-state set (complement for false)."""
 
         vid, state = self.resolve_atom(atom)
-        states = self.network.states(vid)
-        allowed = frozenset([state]) if value else frozenset(states) - {state}
-        return vid, allowed
+        if value:
+            return vid, frozenset((state,))
+        return vid, frozenset(self.network.states(vid)) - {state}
+
+    def conjunction(self, literals: Iterable[tuple[Atom, bool]]) -> dict[str, frozenset[str]]:
+        """The allowed states per variable under every ``(atom, value)``,
+        variables in first-seen order: a clause body, or a program's evidence."""
+
+        out: dict[str, frozenset[str]] = {}
+        for atom, value in literals:
+            vid, allowed = self.constraint_for(atom, value)
+            out[vid] = out[vid] & allowed if vid in out else allowed
+        return out
 
 
 def compile_program(program: ProblogProgram, *, name: str = "program") -> CompiledProgram:
@@ -169,11 +158,10 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
     if not program.clauses:
         raise UnsupportedFragment("program defines no clauses")
 
-    drafts: dict[object, _VarDraft] = {}
-    clause_keys: list[tuple[object, dict[str, float]]] = []
-
-    # pass 1: discover variables from heads (groups first, then lone atoms)
-    for ci, clause in enumerate(program.clauses):
+    # pass 1: variables from heads, annotated disjunctions first so that a
+    # lone head of the same predicate and prefix joins its group
+    states: dict[_VarKey, list[str]] = {}
+    for clause in program.clauses:
         if len(clause.heads) > 1:
             first = clause.heads[0].atom
             if not first.args:
@@ -187,22 +175,16 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
                         "annotated disjunction mixes atoms "
                         f"{format_atom(first)} and {format_atom(h.atom)}"
                     )
-            key = ("group", first.predicate, prefix)
-            if key not in drafts:
-                drafts[key] = _VarDraft(key=key, vid="", states=[])
+            states.setdefault((first.predicate, prefix), [])
 
-    for ci, clause in enumerate(program.clauses):
-        dist: dict[str, float] = {}
-        if len(clause.heads) > 1:
-            key = ("group", clause.heads[0].atom.predicate, clause.heads[0].atom.args[:-1])
-        else:
-            atom = clause.heads[0].atom
-            gkey = ("group", atom.predicate, atom.args[:-1]) if atom.args else None
-            key = gkey if gkey in drafts else ("atom", atom)
-            if key not in drafts:
-                drafts[key] = _VarDraft(key=key, vid="", states=list(BINARY_STATES))
-        draft = drafts[key]
-        if key[0] == "group":
+    heads: dict[Atom, tuple[_VarKey, str]] = {}
+    clause_keys: list[tuple[_VarKey, dict[str, float]]] = []
+    for clause in program.clauses:
+        atom = clause.heads[0].atom
+        group = (atom.predicate, atom.args[:-1]) if atom.args else None
+        if group in states:
+            key: _VarKey = group
+            dist: dict[str, float] = {}
             for h in clause.heads:
                 state = h.atom.args[-1]
                 if state in dist:
@@ -210,105 +192,89 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
                         f"duplicate head state {state!r} in {format_atom(h.atom)}"
                     )
                 dist[state] = h.probability
-                if state not in draft.states:
-                    draft.states.append(state)
+                if h.atom not in heads:
+                    heads[h.atom] = (key, state)
+                    states[key].append(state)
             total = sum(dist.values())
             if abs(total - 1.0) > 1e-6:
-                raise UnsupportedFragment(
-                    f"head probabilities for {_key_label(key)} sum to {total!r}, not 1"
-                )
+                pred, prefix = group
+                label = f"{pred}({','.join(prefix)},_)" if prefix else f"{pred}(_)"
+                raise UnsupportedFragment(f"head probabilities for {label} sum to {total!r}, not 1")
         else:
+            key = atom
+            if key not in states:
+                states[key] = list(BINARY_STATES)
+                heads[atom] = (key, BINARY_STATES[0])
             p = clause.heads[0].probability
             dist = {BINARY_STATES[0]: p, BINARY_STATES[1]: 1.0 - p}
         clause_keys.append((key, dist))
 
-    for draft in drafts.values():
-        if len(draft.states) < 2:
-            raise UnsupportedFragment(
-                f"{_key_label(draft.key)} has only {len(draft.states)} state(s)"
-            )
-
     # variable ids: strip a shared entity constant when one exists
-    entity = _shared_entity(drafts)
-    for key, draft in drafts.items():
-        draft.vid = _variable_id(key, entity)
-    ids = [d.vid for d in drafts.values()]
-    if len(set(ids)) != len(ids):
-        dup = sorted({v for v in ids if ids.count(v) > 1})
+    entity = _shared_entity(states)
+    ids = {key: _variable_id(key, entity) for key in states}
+    if len(set(ids.values())) < len(ids):
+        dup = sorted(v for v, n in Counter(ids.values()).items() if n > 1)
         raise UnsupportedFragment(f"predicate(s) used inconsistently: {', '.join(dup)}")
 
-    binary_atoms = {key[1]: d.vid for key, d in drafts.items() if key[0] == "atom"}
-    group_vars = {(key[1], key[2]): d.vid for key, d in drafts.items() if key[0] == "group"}
-    by_vid = {d.vid: d for d in drafts.values()}
-
-    def resolve_literal(lit: Literal, where: str) -> tuple[str, frozenset[str]]:
-        atom = lit.atom
-        if atom in binary_atoms:
-            vid = binary_atoms[atom]
-            state = BINARY_STATES[1] if lit.negated else BINARY_STATES[0]
-            return vid, frozenset([state])
-        if atom.args:
-            gkey = (atom.predicate, atom.args[:-1])
-            vid = group_vars.get(gkey)
-            if vid is not None:
-                states = by_vid[vid].states
-                s = atom.args[-1]
-                if s not in states:
-                    raise UnknownClause(
-                        f"atom {format_atom(atom)} in {where} names undefined state {s!r}"
-                    )
-                allowed = frozenset(states) - {s} if lit.negated else frozenset([s])
-                return vid, allowed
-        raise UnknownClause(f"atom {format_atom(atom)} in {where} is not defined by any clause")
-
-    # pass 2: bodies -> per-clause parent constraints
-    for ci, clause in enumerate(program.clauses):
-        key, dist = clause_keys[ci]
-        draft = drafts[key]
-        constraints: dict[str, frozenset[str]] = {}
-        for lit in clause.body:
-            vid, allowed = resolve_literal(lit, f"clause {ci + 1}")
-            if vid in constraints:
-                allowed = constraints[vid] & allowed
-            constraints[vid] = allowed
-        draft.clause_rows.append((constraints, dist, ci))
-
-    # pass 3: per variable, check the bodies partition the parent grid
     net = BayesianNetwork(name=name, entity=entity or "x")
-    for draft in drafts.values():
-        parent_ids = sorted({p for cons, _, _ in draft.clause_rows for p in cons})
-        rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-        parent_states = [by_vid[p].states for p in parent_ids]
-        for assignment in itertools.product(*parent_states):
-            covering = [
-                (cons, dist, ci)
-                for cons, dist, ci in draft.clause_rows
-                if all(
-                    assignment[parent_ids.index(p)] in allowed
-                    for p, allowed in cons.items()
-                )
-            ]
-            label = ", ".join(f"{p}={s}" for p, s in zip(parent_ids, assignment)) or "()"
-            if not covering:
-                raise UnsupportedFragment(
-                    f"{draft.vid}: no clause covers parent assignment ({label})"
-                )
-            if len(covering) > 1:
-                which = " and ".join(f"clause {ci + 1}" for _, _, ci in covering)
-                raise UnsupportedFragment(
-                    f"{draft.vid}: {which} overlap on parent assignment ({label})"
-                )
-            _, dist, _ = covering[0]
-            rows[assignment] = tuple(dist.get(s, 0.0) for s in draft.states)
-        net.variables[draft.vid] = Variable(id=draft.vid, name=draft.vid, states=tuple(draft.states))
-        net.cpts[draft.vid] = Cpt(variable=draft.vid, parents=tuple(parent_ids), rows=rows)
+    for key, vid in ids.items():
+        net.variables[vid] = Variable(id=vid, name=vid, states=tuple(states[key]))
+    compiled = CompiledProgram(network=net, atoms={a: (ids[k], s) for a, (k, s) in heads.items()})
+
+    # pass 2: bodies -> per-clause parent constraints and CPT row
+    clause_rows: dict[_VarKey, list[tuple[int, dict[str, frozenset[str]], tuple[float, ...]]]] = {
+        key: [] for key in states
+    }
+    for ci, (clause, (key, dist)) in enumerate(zip(program.clauses, clause_keys)):
+        try:
+            constraints = compiled.conjunction((lit.atom, not lit.negated) for lit in clause.body)
+        except UnknownClause:
+            atom = next(lit.atom for lit in clause.body if lit.atom not in compiled.atoms)
+            if atom.args and (atom.predicate, atom.args[:-1]) in states:
+                problem = f"names undefined state {atom.args[-1]!r}"
+            else:
+                problem = "is not defined by any clause"
+            raise UnknownClause(f"atom {format_atom(atom)} in clause {ci + 1} {problem}") from None
+        clause_rows[key].append((ci, constraints, tuple(dist.get(s, 0.0) for s in states[key])))
+
+    # pass 3: per variable, the bodies must partition the parent grid
+    for key, vid in ids.items():
+        net.cpts[vid] = _partition(net, vid, clause_rows[key])
 
     problems = validate(net)
     if problems:
         raise UnsupportedFragment(
             "program does not encode a valid network: " + "; ".join(str(p) for p in problems[:5])
         )
-    return CompiledProgram(network=net, binary_atoms=binary_atoms, group_vars=group_vars)
+    return compiled
+
+
+def _partition(
+    network: BayesianNetwork,
+    vid: str,
+    clause_rows: list[tuple[int, dict[str, frozenset[str]], tuple[float, ...]]],
+) -> Cpt:
+    """The CPT of ``vid`` when its clause bodies cover every parent assignment
+    exactly once; otherwise the first bad assignment in row-major order is
+    reported."""
+
+    parent_ids = sorted({p for _, cons, _ in clause_rows for p in cons})
+    grid = [network.states(p) for p in parent_ids]
+    cover: dict[tuple[str, ...], list[int]] = {}
+    for k, (_, cons, _) in enumerate(clause_rows):
+        for cell in itertools.product(*(cons.get(p, all_) for p, all_ in zip(parent_ids, grid))):
+            cover.setdefault(cell, []).append(k)
+    rows: dict[tuple[str, ...], tuple[float, ...]] = {}
+    for cell in itertools.product(*grid):
+        hits = cover.get(cell, ())
+        if len(hits) != 1:
+            label = ", ".join(f"{p}={s}" for p, s in zip(parent_ids, cell)) or "()"
+            if not hits:
+                raise UnsupportedFragment(f"{vid}: no clause covers parent assignment ({label})")
+            which = " and ".join(f"clause {clause_rows[k][0] + 1}" for k in hits)
+            raise UnsupportedFragment(f"{vid}: {which} overlap on parent assignment ({label})")
+        rows[cell] = clause_rows[hits[0]][2]
+    return Cpt(variable=vid, parents=tuple(parent_ids), rows=rows)
 
 
 def problog_to_bn(program: ProblogProgram, *, name: str = "program") -> BayesianNetwork:
@@ -317,42 +283,26 @@ def problog_to_bn(program: ProblogProgram, *, name: str = "program") -> Bayesian
     return compile_program(program, name=name).network
 
 
-def _key_label(key: object) -> str:
-    if key[0] == "atom":  # type: ignore[index]
-        return format_atom(key[1])  # type: ignore[index]
-    _, pred, prefix = key  # type: ignore[misc]
-    return f"{pred}({','.join(prefix)},_)" if prefix else f"{pred}(_)"
+def _key_parts(key: _VarKey) -> tuple[str, tuple[str, ...]]:
+    return (key.predicate, key.args) if isinstance(key, Atom) else key
 
 
-def _shared_entity(drafts: dict[object, _VarDraft]) -> str | None:
+def _shared_entity(keys: Iterable[_VarKey]) -> str | None:
     """The single constant shared by every atom, if ids can be simplified."""
 
     entities: set[str] = set()
-    for key in drafts:
-        if key[0] == "atom":
-            args = key[1].args
-        else:
-            args = key[2]
+    for key in keys:
+        _, args = _key_parts(key)
         if len(args) > 1:
             return None
-        if len(args) == 1:
-            entities.add(args[0])
+        entities.update(args)
     if len(entities) == 1:
         return next(iter(entities))
     return None
 
 
-def _variable_id(key: object, entity: str | None) -> str:
-    if key[0] == "atom":
-        atom: Atom = key[1]  # type: ignore[assignment]
-        if entity is not None and atom.args == (entity,):
-            return atom.predicate
-        if not atom.args:
-            return atom.predicate
-        return format_atom(atom)
-    _, pred, prefix = key  # type: ignore[misc]
-    if entity is not None and prefix == (entity,):
+def _variable_id(key: _VarKey, entity: str | None) -> str:
+    pred, args = _key_parts(key)
+    if args in ((), (entity,)):
         return pred
-    if not prefix:
-        return pred
-    return format_atom(Atom(pred, prefix))
+    return format_atom(Atom(pred, args))

@@ -39,13 +39,7 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
     compiled = compile_program(program)
     net = compiled.network
 
-    constraints: dict[str, frozenset[str]] = {}
-    for ev in program.evidence:
-        vid, allowed = compiled.constraint_for(ev.atom, ev.value)
-        if vid in constraints:
-            allowed = constraints[vid] & allowed
-        constraints[vid] = allowed
-
+    constraints = compiled.conjunction((ev.atom, ev.value) for ev in program.evidence)
     targets = [compiled.resolve_atom(q.atom) for q in program.queries]
 
     if method == "enumeration":

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netgen
+import bayesqa
 from bayesqa.cli import main
 from bayesqa.dataset import (
     filter_premises,
@@ -169,6 +173,28 @@ class TestSolve:
         assert code == 0
         assert doc["results"][0]["atom"] == "amylase(patient,'500-1400')"
 
+    def test_zero_mass_message_is_the_same_under_every_hash_seed(self, tmp_path):
+        # false evidence on a 3-state atom is a set of two states
+        path = tmp_path / "zero.pl"
+        path.write_text(
+            "1.0::x(e,a); 0.0::x(e,b); 0.0::x(e,c).\n0.5::y(e).\n"
+            "evidence(x(e,a), false).\nquery(y(e)).\n",
+            encoding="utf-8",
+        )
+        src = str(Path(bayesqa.__file__).resolve().parents[1])
+        lines = set()
+        for seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-m", "bayesqa.cli", "solve", str(path), "--method", "elimination"],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert done.returncode == 1
+            lines.add(done.stderr)
+        assert len(lines) == 1
+        (line,) = lines
+        assert line == "error: ZeroProbabilityEvidence: evidence {'x': ['b', 'c']} has probability 0\n"
+
 
 class TestTranslation:
     def test_to_problog_round_trip(self, capsys, tmp_path):
@@ -306,6 +332,19 @@ class TestGenDataset:
         assert code == 1
         assert "at least 2 variables" in err
         assert list(out.iterdir()) == []  # no .pl file from the first network, no dataset.jsonl
+
+    def test_rerun_removes_only_its_own_stale_programs(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        unrelated = ["notes.pl", "sprinkler-0004.pl", "gallstone-draft.pl"]
+        for name in unrelated:
+            (out / name).write_text("% kept\n", encoding="utf-8")
+        for count in ("5", "3"):
+            code, _, _ = run(capsys, "gen-dataset", NET, "--count", count, "--seed", "2", "--out", str(out))
+            assert code == 0
+        programs = sorted(p.name for p in out.glob("gallstone-[0-9]*.pl"))
+        assert programs == ["gallstone-0000.pl", "gallstone-0001.pl", "gallstone-0002.pl"]
+        assert sorted(p.name for p in out.glob("*.pl")) == sorted(programs + unrelated)
 
     def test_count_must_be_positive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -148,3 +148,58 @@ class TestFragmentRejection:
     def test_empty_program(self):
         with pytest.raises(UnsupportedFragment):
             problog_to_bn(parse("% nothing here"))
+
+    def test_undefined_state_of_known_group(self):
+        text = "0.5::x(e,a); 0.5::x(e,b).\n0.5::y(e) :- x(e,c).\n0.5::y(e) :- not x(e,c)."
+        with pytest.raises(UnknownClause, match=r"^atom x\(e,c\) in clause 2 names undefined state 'c'$"):
+            problog_to_bn(parse(text))
+
+
+class TestParentGrid:
+    """How clause bodies map onto a variable's parent assignment grid."""
+
+    GROUP = "0.2::x(e,a); 0.3::x(e,b); 0.5::x(e,c).\n0.5::z(e).\n"
+
+    def test_negated_wide_literal_covers_the_other_rows(self):
+        net = problog_to_bn(parse(self.GROUP + "0.75::y(e) :- not x(e,a).\n0.25::y(e) :- x(e,a).\n"))
+        assert net.cpts["y"].parents == ("x",)
+        assert net.cpts["y"].rows == {("a",): (0.25, 0.75), ("b",): (0.75, 0.25), ("c",): (0.75, 0.25)}
+
+    def test_literals_on_one_parent_intersect(self):
+        # not a and not b leaves c alone; the other clauses fill a and b
+        text = self.GROUP + (
+            "0.75::y(e) :- not x(e,a), not x(e,b).\n"
+            "0.25::y(e) :- x(e,a).\n"
+            "0.5::y(e) :- x(e,b).\n"
+        )
+        net = problog_to_bn(parse(text))
+        assert net.cpts["y"].rows == {("a",): (0.25, 0.75), ("b",): (0.5, 0.5), ("c",): (0.75, 0.25)}
+
+    def test_overlap_lists_every_covering_clause_in_order(self):
+        text = self.GROUP + (
+            "0.1::y(e) :- not x(e,b).\n"
+            "0.2::y(e) :- x(e,a).\n"
+            "0.3::y(e) :- not x(e,c).\n"
+            "0.4::y(e).\n"
+        )
+        with pytest.raises(
+            UnsupportedFragment,
+            match=r"^y: clause 3 and clause 4 and clause 5 and clause 6 overlap on parent assignment \(x=a\)$",
+        ):
+            problog_to_bn(parse(text))
+
+    @pytest.mark.parametrize(
+        "body_a, body_b, message",
+        [
+            # (x=a, z=true) is doubly covered and (x=b, z=false) uncovered: the overlap comes first
+            ("x(e,a)", "not x(e,c), z(e)",
+             r"^y: clause 3 and clause 4 overlap on parent assignment \(x=a, z=true\)$"),
+            # (x=a, z=true) is uncovered before (x=b, z=true) is doubly covered
+            ("x(e,b)", "not x(e,a), z(e)",
+             r"^y: no clause covers parent assignment \(x=a, z=true\)$"),
+        ],
+    )
+    def test_first_failing_cell_in_row_major_order_decides(self, body_a, body_b, message):
+        text = self.GROUP + f"0.1::y(e) :- {body_a}.\n0.2::y(e) :- {body_b}.\n0.3::y(e) :- x(e,c).\n"
+        with pytest.raises(UnsupportedFragment, match=message):
+            problog_to_bn(parse(text))
