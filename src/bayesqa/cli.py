@@ -16,7 +16,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -280,25 +280,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     networks = [load_network(path) for path in args.networks]
     instances = ds.load_dataset(args.dataset) if args.dataset else []
     stats = ds.dataset_stats(networks, instances)
-    fields = [
-        ("networks", stats.networks),
-        ("variables_total", stats.variables_total),
-        ("numeric_premises", stats.numeric_premises),
-        ("wep_premises", stats.wep_premises),
-        ("evidence_statements", stats.evidence_statements),
-        ("queries", stats.queries),
-        ("states_per_variable_mean", stats.states_per_variable_mean),
-        ("states_per_variable_std", stats.states_per_variable_std),
-        ("variables_per_network_mean", stats.variables_per_network_mean),
-        ("variables_per_network_std", stats.variables_per_network_std),
-        ("premises_per_network_mean", stats.premises_per_network_mean),
-        ("premises_per_network_std", stats.premises_per_network_std),
-    ]
+    fields = asdict(stats)
     human = [
         f"{name}: {_fmt(value, args) if isinstance(value, float) else value}"
-        for name, value in fields
+        for name, value in fields.items()
     ]
-    _emit(args, human, dict(fields))
+    _emit(args, human, fields)
     return 0
 
 

@@ -93,6 +93,15 @@ def _normalize_constraints(
     return out
 
 
+def _zero_mass(constraints: Constraints) -> ZeroProbabilityEvidence:
+    """The one report of evidence with mass 0, for every engine. Set-valued
+    entries print as sorted lists, so the text does not depend on the
+    process's hash seed."""
+
+    shown = {v: a if isinstance(a, str) else sorted(a) for v, a in dict(constraints).items()}
+    return ZeroProbabilityEvidence(f"evidence {shown!r} has probability 0")
+
+
 # ---------------------------------------------------------------------------
 # enumeration engine
 # ---------------------------------------------------------------------------
@@ -148,7 +157,7 @@ def conditional_query(
         raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
     den, (num,) = constrained_sweep(network, evidence, [(query_var, query_state)])
     if den == 0.0:
-        raise ZeroProbabilityEvidence(f"evidence {dict(evidence)!r} has probability 0")
+        raise _zero_mass(evidence)
     return QueryResult(probability=_as_probability(num / den), method="enumeration")
 
 
@@ -290,9 +299,7 @@ def posterior(
     values = masked_posterior(network, variable, dict(constraints))
     total = float(values.sum())
     if total == 0.0:
-        # sorted, so the message does not depend on the process's hash seed
-        shown = {v: a if isinstance(a, str) else sorted(a) for v, a in dict(constraints).items()}
-        raise ZeroProbabilityEvidence(f"evidence {shown!r} has probability 0")
+        raise _zero_mass(constraints)
     return tuple(_as_probability(v / total) for v in values.tolist())
 
 

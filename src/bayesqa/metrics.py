@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -208,19 +208,4 @@ def load_predictions(path: str | Path) -> list[Prediction]:
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    def block(b: MetricsBlock) -> dict:
-        return {
-            "n": b.n,
-            "pct_correct": b.pct_correct,
-            "pct_wrong": b.pct_wrong,
-            "pct_error": b.pct_error,
-            "rmse_50": b.rmse_50,
-            "rmse_non_error": b.rmse_non_error,
-        }
-
-    return {
-        "overall": block(report.overall),
-        "by_reasoning": {k: block(v) for k, v in report.by_reasoning.items()},
-        "by_network": {k: block(v) for k, v in report.by_network.items()},
-        "by_premises": {k: block(v) for k, v in report.by_premises.items()},
-    }
+    return asdict(report)

@@ -82,7 +82,7 @@ def subset(network: BayesianNetwork, keep: Iterable[str]) -> BayesianNetwork:
                 )
         out.cpts[vid] = Cpt(variable=vid, parents=new_parents, rows=rows)
 
-    shared = _shared_removed_ancestors(network, kept_set)
+    shared, mediators = _dropped_dependence(network, kept_set)
     if shared:
         warnings.warn(
             "subset: removed variable(s) "
@@ -91,7 +91,6 @@ def subset(network: BayesianNetwork, keep: Iterable[str]) -> BayesianNetwork:
             "dependence they induced and is an approximation for joint queries",
             stacklevel=2,
         )
-    mediators = _severed_mediators(network, kept_set)
     if mediators:
         warnings.warn(
             "subset: removed variable(s) "
@@ -105,14 +104,6 @@ def subset(network: BayesianNetwork, keep: Iterable[str]) -> BayesianNetwork:
 
 def _assignments(network: BayesianNetwork, parent_ids: tuple[str, ...]):
     return itertools.product(*(network.states(p) for p in parent_ids))
-
-
-def _child_map(network: BayesianNetwork) -> dict[str, list[str]]:
-    children: dict[str, list[str]] = {v: [] for v in network.variables}
-    for vid, cpt in network.cpts.items():
-        for p in cpt.parents:
-            children[p].append(vid)
-    return children
 
 
 def _kept_frontier(
@@ -134,31 +125,23 @@ def _kept_frontier(
     return frontier
 
 
-def _shared_removed_ancestors(network: BayesianNetwork, kept: set[str]) -> set[str]:
-    """Removed variables reaching ≥2 kept variables through removed-only paths."""
+def _dropped_dependence(network: BayesianNetwork, kept: set[str]) -> tuple[set[str], set[str]]:
+    """Removed variables whose dependence the extraction cannot represent.
 
-    children = _child_map(network)
-    return {
-        root
-        for root in network.variables
-        if root not in kept and len(_kept_frontier(children, kept, root)) >= 2
-    }
-
-
-def _severed_mediators(network: BayesianNetwork, kept: set[str]) -> set[str]:
-    """Removed children of kept variables that still reach a kept variable.
-
-    Each one heads a directed path kept -> removed ... removed -> kept, a
-    dependence the extraction cannot represent.
+    The first set holds shared ancestors: removed variables reaching ≥2 kept
+    variables through removed-only paths. The second holds mediators: removed
+    children of kept variables that still reach a kept variable, each heading
+    a directed path kept -> removed ... removed -> kept.
     """
 
-    children = _child_map(network)
-    mediators: set[str] = set()
-    for vid in kept:
-        for child in children[vid]:
-            if child not in kept and _kept_frontier(children, kept, child):
-                mediators.add(child)
-    return mediators
+    children: dict[str, list[str]] = {v: [] for v in network.variables}
+    for vid, cpt in network.cpts.items():
+        for p in cpt.parents:
+            children[p].append(vid)
+    frontier = {v: _kept_frontier(children, kept, v) for v in network.variables if v not in kept}
+    shared = {v for v, reached in frontier.items() if len(reached) >= 2}
+    mediators = {c for vid in kept for c in children[vid] if c not in kept and frontier[c]}
+    return shared, mediators
 
 
 __all__ = ["marginal_prior", "subset"]

@@ -28,7 +28,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..errors import UnknownClause, UnrepresentableName, UnsupportedFragment
-from ..model import BayesianNetwork, Cpt, Variable, parent_assignments, topological_order, validate
+from ..model import (
+    BayesianNetwork,
+    Cpt,
+    Variable,
+    parent_assignments,
+    state_index,
+    topological_order,
+    validate,
+)
 from .syntax import (
     BARE_CONSTANT,
     Atom,
@@ -72,7 +80,7 @@ def atom_for(network: BayesianNetwork, variable: str, state: str, entity: str | 
     ent = _constant_for(entity if entity is not None else network.entity, what="entity constant")
     pred = _predicate_for(variable)
     states = network.states(variable)
-    idx = states.index(state)
+    idx = state_index(network, variable, state)
     if len(states) == 2:
         return Atom(pred, (ent,)), idx == 0
     return Atom(pred, (ent, _constant_for(state, what=f"state of {variable!r}"))), True

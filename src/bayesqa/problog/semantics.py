@@ -4,23 +4,23 @@ independent possible-world enumerator.
 :func:`evaluate` lowers the program to a Bayesian network and conditions on
 the evidence (``false`` evidence on an annotated-disjunction head becomes the
 complement state set). :func:`enumerate_worlds` never builds a network: it
-walks every total choice over the probabilistic clauses, computes that
-world's minimal model under stratified negation, and accumulates the
-distribution-semantics sums directly. The two must agree on the supported
-fragment, which makes the enumerator the oracle for the translation.
+assigns each clause a stratification level once per program, then walks
+every total choice over the probabilistic clauses, computes that world's
+perfect model level by level, and accumulates the distribution-semantics
+sums directly. The two must agree on the supported fragment, which makes the
+enumerator the oracle for the translation.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
 
 from ..errors import (
     EnumerationBoundExceeded,
     UnstratifiedNegation,
     ZeroProbabilityEvidence,
 )
-from ..inference import constrained_sweep, posterior
+from ..inference import _zero_mass, constrained_sweep, posterior
 from .convert import compile_program
 from .syntax import Atom, ProblogProgram, format_atom
 
@@ -45,9 +45,7 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
     if method == "enumeration":
         den, nums = constrained_sweep(net, constraints, targets)
         if den == 0.0:
-            raise ZeroProbabilityEvidence(
-                f"evidence {[format_atom(e.atom) for e in program.evidence]} has probability 0"
-            )
+            raise _zero_mass(constraints)
         return {q.atom: num / den for q, num in zip(program.queries, nums)}
 
     return {
@@ -67,11 +65,13 @@ def enumerate_worlds(
     """Distribution semantics by brute force.
 
     Every clause contributes one choice: one of its heads, or "no head" when
-    the annotation mass falls short of 1. A world is the minimal model of the
-    chosen heads' rules, computed stratum by stratum so ``not`` always
-    consults finished strata. Worlds inconsistent with the evidence are
-    dropped; query probabilities are evidence-conditional sums of world
-    probabilities.
+    the annotation mass falls short of 1. A world is the perfect model of the
+    chosen heads' rules. Clause levels are fixed once per program, so that a
+    clause sits above every clause defining an atom it negates; each world
+    fires its rules level by level to a fixpoint, and ``not`` only consults
+    finished levels. Worlds inconsistent with the evidence are dropped; query
+    probabilities are evidence-conditional sums of world probabilities.
+    Raises :class:`UnstratifiedNegation` when negation sits inside a cycle.
 
     Zero-probability alternatives are pruned, and clauses with a single
     surviving alternative do not count against ``max_choices``.
@@ -95,8 +95,7 @@ def enumerate_worlds(
             f"program has {live} choice points, more than the bound of {max_choices}"
         )
 
-    stratum = _stratify(program)
-    n_strata = 1 + max(stratum.values(), default=0)
+    strata = _clause_strata(program)
     bodies = [tuple((l.atom, l.negated) for l in clause.body) for clause in program.clauses]
 
     den = 0.0
@@ -108,7 +107,7 @@ def enumerate_worlds(
         wp = 1.0
         for _, p in combo:
             wp *= p
-        truth = _minimal_model(combo, bodies, stratum, n_strata)
+        truth = _minimal_model([atom for atom, _ in combo], bodies, strata)
         if any((atom in truth) != value for atom, value in evidence):
             continue
         den += wp
@@ -117,126 +116,81 @@ def enumerate_worlds(
                 nums[k] += wp
 
     if den == 0.0:
-        raise ZeroProbabilityEvidence(
-            f"evidence {[format_atom(a) for a, _ in evidence]} has probability 0"
-        )
+        shown = [f"{format_atom(a)}={'true' if v else 'false'}" for a, v in evidence]
+        raise ZeroProbabilityEvidence(f"evidence {shown} has probability 0")
     return {qa: num / den for qa, num in zip(query_atoms, nums)}
 
 
 def _minimal_model(
-    combo: Iterable[tuple[Atom | None, float]],
+    heads: list[Atom | None],
     bodies: list[tuple[tuple[Atom, bool], ...]],
-    stratum: dict[Atom, int],
-    n_strata: int,
+    strata: list[list[int]],
 ) -> set[Atom]:
-    pending: list[list[int]] = [[] for _ in range(n_strata)]
-    heads: list[Atom | None] = []
-    for ci, (atom, _) in enumerate(combo):
-        heads.append(atom)
-        if atom is not None:
-            pending[stratum[atom]].append(ci)
+    """Fire the chosen heads' rules level by level, each level to a fixpoint."""
 
     truth: set[Atom] = set()
-    for level in pending:
+    for level in strata:
         changed = True
         while changed:
             changed = False
             for ci in level:
                 head = heads[ci]
-                if head in truth:
+                if head is None or head in truth:
                     continue
-                ok = True
                 for atom, negated in bodies[ci]:
                     if (atom in truth) == negated:
-                        ok = False
                         break
-                if ok:
-                    truth.add(head)  # type: ignore[arg-type]
+                else:
+                    truth.add(head)
                     changed = True
     return truth
 
 
-def _stratify(program: ProblogProgram) -> dict[Atom, int]:
-    """Stratum index per atom; raises on negation inside a dependency cycle."""
+def _clause_strata(program: ProblogProgram) -> list[list[int]]:
+    """Clause indices grouped by level, lowest first (Apt, Blair & Walker 1988).
 
-    atoms: set[Atom] = set()
-    edges: list[tuple[Atom, Atom, bool]] = []  # (body atom, head atom, negated)
-    for clause in program.clauses:
+    A clause's level is at least that of every clause defining one of its
+    positive body atoms, and above that of every clause defining one of its
+    negated ones. Levels past the number of clauses mean a negative cycle.
+    """
+
+    defined_by: dict[Atom, list[int]] = {}
+    for ci, clause in enumerate(program.clauses):
         for h in clause.heads:
-            atoms.add(h.atom)
+            defined_by.setdefault(h.atom, []).append(ci)
+    deps = [
+        [(d, lit.negated) for lit in clause.body for d in defined_by.get(lit.atom, ())]
+        for clause in program.clauses
+    ]
+    level = [0] * len(deps)
+    changed = True
+    while changed:
+        changed = False
+        for ci, dep in enumerate(deps):
+            need = max((level[d] + negated for d, negated in dep), default=0)
+            if need > level[ci]:
+                if need > len(deps):
+                    raise _negative_cycle(program)
+                level[ci] = need
+                changed = True
+    return [[ci for ci, lv in enumerate(level) if lv == k] for k in sorted(set(level))]
+
+
+def _negative_cycle(program: ProblogProgram) -> UnstratifiedNegation:
+    """Name the first negated body literal, in clause order, that its own
+    clause's head reaches back through the body-to-head dependencies."""
+
+    succ: dict[Atom, set[Atom]] = {}
+    for clause in program.clauses:
         for lit in clause.body:
-            atoms.add(lit.atom)
-            for h in clause.heads:
-                edges.append((lit.atom, h.atom, lit.negated))
-    for e in program.evidence:
-        atoms.add(e.atom)
-    for q in program.queries:
-        atoms.add(q.atom)
-
-    order = sorted(atoms, key=format_atom)
-    index = {a: i for i, a in enumerate(order)}
-    succ: list[list[int]] = [[] for _ in order]
-    for src, dst, _ in edges:
-        succ[index[src]].append(index[dst])
-
-    comp = _tarjan_scc(succ)
-    for src, dst, negated in edges:
-        if negated and comp[index[src]] == comp[index[dst]]:
-            raise UnstratifiedNegation(
-                f"negation of {format_atom(src)} occurs inside a cycle through {format_atom(dst)}"
-            )
-
-    # Tarjan emits components in reverse topological order, so invert.
-    n_comp = 1 + max(comp, default=0)
-    return {a: n_comp - 1 - comp[index[a]] for a in order}
-
-
-def _tarjan_scc(succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns component index per node (reverse topo order)."""
-
-    n = len(succ)
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp = [-1] * n
-    counter = 0
-    n_comp = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            node, ei = work[-1]
-            if ei == 0:
-                index_of[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            while ei < len(succ[node]):
-                nxt = succ[node][ei]
-                ei += 1
-                if index_of[nxt] == -1:
-                    work[-1] = (node, ei)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index_of[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index_of[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comp
-                    if w == node:
-                        break
-                n_comp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return comp
+            succ.setdefault(lit.atom, set()).update(h.atom for h in clause.heads)
+    for clause in program.clauses:
+        for lit, h in itertools.product([l for l in clause.body if l.negated], clause.heads):
+            reach = {h.atom}
+            while more := set().union(*(succ.get(a, ()) for a in reach)) - reach:
+                reach |= more
+            if lit.atom in reach:
+                return UnstratifiedNegation(
+                    f"negation of {format_atom(lit.atom)} occurs inside a cycle through {format_atom(h.atom)}"
+                )
+    raise AssertionError("clause levels diverged without a negative cycle")

@@ -196,6 +196,21 @@ class TestSolve:
         assert line == "error: ZeroProbabilityEvidence: evidence {'x': ['b', 'c']} has probability 0\n"
 
 
+    def test_zero_mass_message_is_the_same_for_every_method(self, capsys, tmp_path):
+        path = tmp_path / "zero.pl"
+        path.write_text(
+            "1.0::x(e,a); 0.0::x(e,b); 0.0::x(e,c).\n0.5::y(e).\n"
+            "evidence(x(e,a), false).\nquery(y(e)).\n",
+            encoding="utf-8",
+        )
+        errs = {}
+        for method in ("enumeration", "elimination", "worlds"):
+            code, _, errs[method] = run(capsys, "solve", str(path), "--method", method)
+            assert code == 1
+        assert errs["enumeration"] == errs["elimination"]
+        assert errs["worlds"] == "error: ZeroProbabilityEvidence: evidence ['x(e,a)=false'] has probability 0\n"
+
+
 class TestTranslation:
     def test_to_problog_round_trip(self, capsys, tmp_path):
         out_path = tmp_path / "net.pl"

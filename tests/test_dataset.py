@@ -25,7 +25,7 @@ from bayesqa.dataset import (
     template_premises,
     _percent,
 )
-from bayesqa.errors import NetworkFormatError, UnsatisfiableEvidence
+from bayesqa.errors import NetworkFormatError, UnknownState, UnsatisfiableEvidence
 from bayesqa.inference import eliminate
 from bayesqa.problog import evaluate, serialize
 
@@ -216,6 +216,15 @@ class TestGenerateDataset:
             program = instance_program(gallstone_net, inst)
             (answer,) = evaluate(program).values()
             assert abs(answer - inst.gold) <= 1e-10
+
+    def test_instance_program_names_an_unknown_state(self, gallstone_net):
+        # a loaded instance may ask for a state its network does not declare
+        doc = instance_to_dict(generate_dataset(gallstone_net, 1, seed=13)[0])
+        doc["question"] = {**doc["question"], "variable": "amylase", "state": "1400+"}
+        with pytest.raises(
+            UnknownState, match=r"no state '1400\+' \(states: 0-299, 300-499, 500-1400\)"
+        ):
+            instance_program(gallstone_net, instance_from_dict(doc))
 
     def test_negated_query_indicator_avoids_a_variable_predicate(self, collide_net):
         encoder = NetworkEncoder(collide_net)

@@ -92,11 +92,35 @@ class TestEnumerateWorlds:
         answers = enumerate_worlds(parse("0.6::rain.\n1.0::wet :- rain.\nquery(wet)."))
         assert answers[Atom("wet", ())] == pytest.approx(0.6)
 
-    def test_negation_reads_completed_stratum(self):
-        text = "0.6::rain.\n1.0::wet :- rain.\n1.0::dry :- not wet.\nquery(dry).\nquery(wet)."
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            pytest.param(
+                "0.6::rain.\n1.0::wet :- rain.\n1.0::dry :- not wet.\nquery(dry).\nquery(wet).",
+                {"dry": 0.4, "wet": 0.6},
+                id="in-order",
+            ),
+            pytest.param(
+                "0.5::b.\n1.0::a :- b.\n1.0::b :- a.\n1.0::c :- not a.\nquery(c).\nquery(a).",
+                {"c": 0.5, "a": 0.5},
+                id="positive-cycle-below-a-negation",
+            ),
+            pytest.param(
+                "1.0::wet :- rain.\n0.6::rain.\n1.0::dry :- not wet.\nquery(wet).\nquery(dry).",
+                {"wet": 0.6, "dry": 0.4},
+                id="clauses-out-of-dependency-order",
+            ),
+            pytest.param(
+                "0.3::p.\n1.0::q :- not p.\n1.0::r :- not q.\n1.0::s :- not r, p.\n"
+                "query(r).\nquery(s).",
+                {"r": 0.3, "s": 0.0},
+                id="three-level-negation-chain",
+            ),
+        ],
+    )
+    def test_negation_reads_completed_stratum(self, text, want):
         answers = enumerate_worlds(parse(text))
-        assert answers[Atom("dry", ())] == pytest.approx(0.4)
-        assert answers[Atom("wet", ())] == pytest.approx(0.6)
+        assert {atom.predicate: p for atom, p in answers.items()} == want
 
     def test_absent_choice_means_false(self):
         answers = enumerate_worlds(parse("0.5::a.\n1.0::c :- not a.\nquery(c)."))
@@ -112,9 +136,30 @@ class TestEnumerateWorlds:
         with pytest.raises(ZeroProbabilityEvidence):
             enumerate_worlds(parse("1.0::a.\nevidence(a, false).\nquery(a)."))
 
-    def test_unstratified_negation(self):
-        with pytest.raises(UnstratifiedNegation):
-            enumerate_worlds(parse("1.0::a :- not b.\n1.0::b :- not a.\nquery(a)."))
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                "1.0::a :- not b.\n1.0::b :- not a.\nquery(a).",
+                "negation of b occurs inside a cycle through a",
+                id="mutual",
+            ),
+            pytest.param(
+                "1.0::c :- not a.\n1.0::a :- not b.\n1.0::b :- a.\nquery(c).",
+                "negation of b occurs inside a cycle through a",
+                id="downstream-negation-not-named",
+            ),
+            pytest.param(
+                "1.0::a :- not a.\nquery(a).",
+                "negation of a occurs inside a cycle through a",
+                id="self-loop",
+            ),
+        ],
+    )
+    def test_unstratified_negation(self, text, message):
+        with pytest.raises(UnstratifiedNegation) as err:
+            enumerate_worlds(parse(text))
+        assert str(err.value) == message
 
     def test_choice_bound(self):
         many = "\n".join(f"0.5::f{i}." for i in range(21)) + "\nquery(f0)."
