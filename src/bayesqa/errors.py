@@ -49,7 +49,9 @@ class UnrepresentableName(BayesqaError):
 
 
 class EnumerationBoundExceeded(BayesqaError):
-    """The program has more independent choices than the enumeration bound allows."""
+    """Enumeration would exceed its bound, checked before the first step: a
+    program with more live choice points than ``enumerate_worlds`` allows, or
+    more joint states left by the evidence than ``constrained_sweep`` walks."""
 
 
 class UnstratifiedNegation(BayesqaError):

@@ -6,7 +6,8 @@ Two independent engines answer the same questions:
   Simple enough to audit by hand; exponential in the number of free
   variables, so it doubles as the oracle for everything else. The one sweep
   is :func:`constrained_sweep`; :func:`joint_probability`, :func:`marginal`
-  and :func:`conditional_query` are thin wrappers over it.
+  and :func:`conditional_query` are thin wrappers over it. It walks at most
+  :data:`MAX_JOINT_STATES` assignments and refuses larger spaces up front.
 * variable elimination — numpy factor tables, min-degree elimination order
   with lexicographic tie-breaking. Exact, and fast enough for the network
   sizes this package targets. :func:`masked_posterior` returns the
@@ -28,6 +29,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    EnumerationBoundExceeded,
     QueryEvidenceOverlap,
     UnknownVariable,
     ZeroProbabilityEvidence,
@@ -35,6 +37,9 @@ from .errors import (
 from .model import BayesianNetwork, parent_assignments, state_index, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
+
+# the same 2**20 budget as semantics.MAX_CHOICE_POINTS binary choices
+MAX_JOINT_STATES = 2**20
 
 Constraints = Mapping[str, "AbstractSet[str] | str"]
 
@@ -172,7 +177,9 @@ def constrained_sweep(
     satisfying every constraint, and for each ``(variable, state)`` target the
     portion of that mass where the variable also takes the given state.
     Numerators are accumulated alongside the denominator so target/total
-    ratios are exact conditional probabilities.
+    ratios are exact conditional probabilities. Raises
+    :class:`EnumerationBoundExceeded`, before the first world, when the
+    constraints leave more than :data:`MAX_JOINT_STATES` assignments.
     """
 
     c = _Compiled(network)
@@ -180,6 +187,12 @@ def constrained_sweep(
     for var, idx in _normalize_constraints(network, constraints.items()):
         allowed_idx[c.pos[var]] = idx
     target_idx = [(state, c.pos[v]) for v, (state,) in _normalize_constraints(network, targets)]
+    joint = math.prod(len(idx) for idx in allowed_idx)
+    if joint > MAX_JOINT_STATES:
+        raise EnumerationBoundExceeded(
+            f"enumeration would walk {joint} joint states, more than the bound of "
+            f"{MAX_JOINT_STATES}; use --method elimination"
+        )
 
     total = 0.0
     nums = [0.0] * len(target_idx)

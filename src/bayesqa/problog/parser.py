@@ -16,12 +16,17 @@ Grammar (ground fragment; ``%`` starts a line comment):
 An unannotated head is a deterministic fact (probability 1). ``not``,
 ``evidence`` and ``query`` are contextual keywords: ``evidence``/``query``
 only at statement start, ``not`` only in literal position.
+
+The tokenizer walks ``_TOKEN`` with one anchored match loop. A token is a
+plain ``(kind, text, offset)`` tuple: punctuation is its own kind, and an
+``EOF`` token sits at ``len(text)``. Tokens carry no line or column; an error
+resolves its offset to ``line L, column C`` (both from 1, the column counting
+characters after the last newline) only when it is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..errors import ProblogSyntaxError
 from .syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
@@ -41,62 +46,58 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+_Tok = tuple[str, str, int]  # (kind, text, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ProblogSyntaxError(f"line {line}, column {col}: unexpected character {text[pos]!r}")
-        kind = m.lastgroup or ""
-        snippet = m.group()
-        if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind if kind != "PUNCT" else snippet, snippet, line, pos - line_start + 1))
-        newlines = snippet.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + snippet.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+def _position(text: str, offset: int) -> str:
+    """``line L, column C`` of a character offset, both counted from 1."""
+
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return f"line {line}, column {column}"
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    tokens: list[_Tok] = []
+    m = None
+    for m in iter(_TOKEN.scanner(text).match, None):
+        kind = m.lastgroup
+        if kind != "WS" and kind != "COMMENT":
+            snippet = m.group()
+            tokens.append((snippet if kind == "PUNCT" else kind, snippet, m.start()))
+    # the scan stops at the end of the text or at a character no token starts with
+    end = m.end() if m else 0
+    if end < len(text):
+        raise ProblogSyntaxError(f"{_position(text, end)}: unexpected character {text[end]!r}")
+    tokens.append(("EOF", "", end))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.current = self.tokens[0]
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def advance(self) -> _Tok:
+        tok = self.current
         self.i += 1
+        self.current = self.tokens[self.i]
         return tok
+
+    def error(self, tok: _Tok, message: str) -> ProblogSyntaxError:
+        return ProblogSyntaxError(f"{_position(self.text, tok[2])}: {message}")
 
     def fail(self, expected: str) -> ProblogSyntaxError:
         tok = self.current
-        found = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        return ProblogSyntaxError(
-            f"line {tok.line}, column {tok.column}: expected {expected}, found {found}"
-        )
+        found = "end of input" if tok[0] == "EOF" else repr(tok[1])
+        return self.error(tok, f"expected {expected}, found {found}")
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        if self.current.kind != kind:
+    def expect(self, kind: str, expected: str) -> _Tok:
+        if self.current[0] != kind:
             raise self.fail(expected)
         return self.advance()
 
@@ -106,18 +107,18 @@ class _Parser:
         clauses: list[Clause] = []
         evidence: list[Evidence] = []
         queries: list[Query] = []
-        while self.current.kind != "EOF":
-            tok = self.current
-            if tok.kind == "IDENT" and tok.text == "evidence" and self._peek_is("("):
+        while self.current[0] != "EOF":
+            kind, word, _ = self.current
+            if kind == "IDENT" and word == "evidence" and self._peek_is("("):
                 evidence.append(self.evidence_directive())
-            elif tok.kind == "IDENT" and tok.text == "query" and self._peek_is("("):
+            elif kind == "IDENT" and word == "query" and self._peek_is("("):
                 queries.append(self.query_directive())
             else:
                 clauses.append(self.clause())
         return ProblogProgram(tuple(clauses), tuple(evidence), tuple(queries))
 
     def _peek_is(self, kind: str) -> bool:
-        return self.tokens[self.i + 1].kind == kind
+        return self.tokens[self.i + 1][0] == kind
 
     def evidence_directive(self) -> Evidence:
         self.advance()  # 'evidence'
@@ -125,13 +126,11 @@ class _Parser:
         atom = self.atom()
         self.expect(",", "','")
         flag = self.expect("IDENT", "'true' or 'false'")
-        if flag.text not in ("true", "false"):
-            raise ProblogSyntaxError(
-                f"line {flag.line}, column {flag.column}: expected 'true' or 'false', found {flag.text!r}"
-            )
+        if flag[1] not in ("true", "false"):
+            raise self.error(flag, f"expected 'true' or 'false', found {flag[1]!r}")
         self.expect(")", "')'")
         self.expect(".", "'.' at end of statement")
-        return Evidence(atom=atom, value=flag.text == "true")
+        return Evidence(atom=atom, value=flag[1] == "true")
 
     def query_directive(self) -> Query:
         self.advance()  # 'query'
@@ -143,64 +142,59 @@ class _Parser:
 
     def clause(self) -> Clause:
         heads = [self.head()]
-        while self.current.kind == ";":
+        while self.current[0] == ";":
             self.advance()
             heads.append(self.head())
         body: list[Literal] = []
-        if self.current.kind == "ARROW":
+        if self.current[0] == "ARROW":
             self.advance()
             body.append(self.literal())
-            while self.current.kind == ",":
+            while self.current[0] == ",":
                 self.advance()
                 body.append(self.literal())
         self.expect(".", "'.' at end of statement")
         return Clause(heads=tuple(heads), body=tuple(body))
 
     def head(self) -> ProbHead:
-        if self.current.kind == "NUMBER":
+        if self.current[0] == "NUMBER":
             num = self.advance()
-            probability = float(num.text)
+            probability = float(num[1])
             if probability > 1.0:
-                raise ProblogSyntaxError(
-                    f"line {num.line}, column {num.column}: probability {num.text} outside [0, 1]"
-                )
+                raise self.error(num, f"probability {num[1]} outside [0, 1]")
             self.expect("PROBSEP", "'::' after probability")
             return ProbHead(probability=probability, atom=self.atom())
-        if self.current.kind == "IDENT":
+        if self.current[0] == "IDENT":
             return ProbHead(probability=1.0, atom=self.atom())
         raise self.fail("a probability or an atom")
 
     def literal(self) -> Literal:
-        if self.current.kind == "IDENT" and self.current.text == "not":
+        if self.current[:2] == ("IDENT", "not"):
             self.advance()
             return Literal(atom=self.atom(), negated=True)
         return Literal(atom=self.atom(), negated=False)
 
     def atom(self) -> Atom:
         name = self.expect("IDENT", "a predicate name")
-        if self.current.kind != "(":
-            return Atom(predicate=name.text)
+        if self.current[0] != "(":
+            return Atom(predicate=name[1])
         self.advance()
         args = [self.constant()]
-        while self.current.kind == ",":
+        while self.current[0] == ",":
             self.advance()
             args.append(self.constant())
         self.expect(")", "')' or ','")
-        return Atom(predicate=name.text, args=tuple(args))
+        return Atom(predicate=name[1], args=tuple(args))
 
     def constant(self) -> str:
-        tok = self.current
-        if tok.kind == "IDENT":
+        kind, word, _ = tok = self.current
+        if kind == "IDENT":
             self.advance()
-            return tok.text
-        if tok.kind == "QUOTED":
+            return word
+        if kind == "QUOTED":
             self.advance()
-            value = tok.text[1:-1]
-            if not value:
-                raise ProblogSyntaxError(
-                    f"line {tok.line}, column {tok.column}: empty quoted constant"
-                )
-            return value
+            if word == "''":
+                raise self.error(tok, "empty quoted constant")
+            return word[1:-1]
         raise self.fail("a constant (identifier or quoted string)")
 
 
@@ -215,6 +209,6 @@ def parse_atom(text: str) -> Atom:
 
     p = _Parser(text)
     atom = p.atom()
-    if p.current.kind != "EOF":
+    if p.current[0] != "EOF":
         raise p.fail("end of input after atom")
     return atom

@@ -82,3 +82,15 @@ def collide_net():
             "not_x": (("true", "false"), ("x",), {("true",): (0.2, 0.8), ("false",): (0.6, 0.4)}),
         },
     )
+
+
+def three_state_chain(n: int):
+    """``v0 -> v1 -> ... -> v{n-1}``, each with states s0..s2: 3**n joint
+    states, so 14 variables pass the enumeration sweep's 2**20 bound."""
+
+    states = ("s0", "s1", "s2")
+    row = (0.2, 0.3, 0.5)
+    tables = {"v0": (states, (), {(): row})}
+    for i in range(1, n):
+        tables[f"v{i}"] = (states, (f"v{i - 1}",), {(s,): row for s in states})
+    return make_network("chain3", tables)

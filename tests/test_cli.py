@@ -26,7 +26,7 @@ from bayesqa.model import load_network, make_network, network_from_dict, save_ne
 from bayesqa.problog import bn_to_problog, parse, serialize
 from bayesqa.problog.convert import atom_for
 from bayesqa.problog.syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
-from conftest import GALLSTONE_TEXT
+from conftest import GALLSTONE_TEXT, three_state_chain
 
 DATA = Path(__file__).parent / "data"
 NET = str(DATA / "gallstones.json")
@@ -156,6 +156,16 @@ class TestInfer:
         code, _, err = run(capsys, "infer", NET, "--query", "bile=true")
         assert code == 1
         assert "error: UnknownVariable" in err
+
+    def test_enumeration_bound_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "chain3.json"
+        save_network(three_state_chain(14), path)
+        code, out, err = run(capsys, "infer", str(path), "--query", "v13=s0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: EnumerationBoundExceeded: enumeration would walk 4782969 joint states")
+        assert "--method elimination" in err
+        code, out, _ = run(capsys, "infer", str(path), "--query", "v13=s0", "--method", "elimination")
+        assert code == 0 and out.startswith("P(v13=s0) = ")
 
 
 class TestSolve:

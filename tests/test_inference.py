@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import netgen
+from bayesqa import inference
 from bayesqa.errors import (
+    EnumerationBoundExceeded,
     QueryEvidenceOverlap,
     UnknownState,
     UnknownVariable,
@@ -26,6 +28,7 @@ from bayesqa.inference import (
     posterior,
 )
 from bayesqa.model import make_network, topological_order
+from conftest import three_state_chain
 
 
 def _chain():
@@ -125,6 +128,33 @@ class TestEnumeration:
             gallstone_net, {"amylase": "300-499"}
         )
         assert total == pytest.approx(by_hand, abs=1e-12)
+
+
+class TestSweepBound:
+    def test_refuses_by_size_before_the_first_world(self, monkeypatch):
+        def walked(*_):
+            raise AssertionError("the sweep visited a world")
+
+        monkeypatch.setattr(inference, "_chain_product", walked)
+        with pytest.raises(EnumerationBoundExceeded) as info:
+            conditional_query(three_state_chain(14), "v13", "s0", {})
+        assert str(info.value) == (
+            "enumeration would walk 4782969 joint states, more than the bound of 1048576;"
+            " use --method elimination"
+        )
+
+    def test_counts_the_states_left_by_evidence(self, monkeypatch):
+        net = three_state_chain(14)
+        evidence = {f"v{i}": "s1" for i in range(8)}
+        expected = eliminate(net, "v13", "s0", evidence).probability
+        assert conditional_query(net, "v13", "s0", evidence).probability == pytest.approx(expected, abs=1e-12)
+        # v8..v13 are free: 3**6 states, or 2 * 3**5 with v8 limited to two
+        monkeypatch.setattr(inference, "MAX_JOINT_STATES", 2 * 3**5)
+        total, _ = constrained_sweep(net, {**evidence, "v8": {"s0", "s2"}}, [])
+        parts = [marginal(net, {**evidence, "v8": s}) for s in ("s0", "s2")]
+        assert total == pytest.approx(sum(parts), abs=1e-15)
+        with pytest.raises(EnumerationBoundExceeded, match=r"walk 729 joint states"):
+            constrained_sweep(net, evidence, [])
 
 
 class TestElimination:

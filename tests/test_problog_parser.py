@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
+
+import netgen
 
 from bayesqa.errors import ProblogSyntaxError
 from bayesqa.problog import (
@@ -114,6 +119,29 @@ class TestErrors:
         with pytest.raises(ProblogSyntaxError, match="outside"):
             parse("a.\n2.0::b.")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("% c\n  a. $", "line 2, column 6: unexpected character '$'"),
+            ("a.\r\nb $.", "line 2, column 3: unexpected character '$'"),
+            ("a(e).\tb(e)\t#", "line 1, column 12: unexpected character '#'"),
+            ("0.5::a(e)\n\n", "line 3, column 1: expected '.' at end of statement, found end of input"),
+            ("0.5::a(e) ;", "line 1, column 12: expected a probability or an atom, found end of input"),
+            ("a.\n2.0::b.", "line 2, column 1: probability 2.0 outside [0, 1]"),
+            ("a.\n\tb('').", "line 2, column 4: empty quoted constant"),
+            ("evidence(a(e),\n  maybe).", "line 2, column 3: expected 'true' or 'false', found 'maybe'"),
+        ],
+    )
+    def test_exact_message(self, text, message):
+        with pytest.raises(ProblogSyntaxError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+    def test_parse_atom_trailing_token_message(self):
+        with pytest.raises(ProblogSyntaxError) as info:
+            parse_atom("a(e) b")
+        assert str(info.value) == "line 1, column 6: expected end of input after atom, found 'b'"
+
 
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
@@ -143,3 +171,35 @@ class TestRoundTrip:
         # 0.9730 in the source renders as 0.973 in canonical form, same value
         text = serialize(parse("0.9730::a(e)."))
         assert text == "0.973::a(e).\n"
+
+
+def _generated_texts(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        net = netgen.random_network(rng, name=f"pos{i}")
+        qvar, _, evidence = netgen.random_point_query(rng, net)
+        program, _ = netgen.query_program(net, evidence, qvar)
+        yield rng, program, serialize(program)
+
+
+class TestGeneratedPrograms:
+    def test_inserted_character_reports_its_line_and_column(self):
+        for rng, _, text in _generated_texts(200, 7070):
+            # a '$' inside a quoted constant is text, and one inside '::' or
+            # ':-' leaves a lone ':' that fails first
+            unsplittable = [m.span() for m in re.finditer(r"'[^'\n]*'|::|:-", text)]
+            offsets = [
+                int(k)
+                for k in rng.integers(0, len(text) + 1, size=20)
+                if not any(a < k < b for a, b in unsplittable)
+            ]
+            for k in offsets:
+                line = text.count("\n", 0, k) + 1
+                column = k - text.rfind("\n", 0, k)
+                with pytest.raises(ProblogSyntaxError) as info:
+                    parse(text[:k] + "$" + text[k:])
+                assert str(info.value) == f"line {line}, column {column}: unexpected character '$'"
+
+    def test_serialize_then_parse_is_identity(self):
+        for _, program, text in _generated_texts(200, 7071):
+            assert parse(text) == program
