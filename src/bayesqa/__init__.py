@@ -31,7 +31,9 @@ from .model import (
     validate,
 )
 from .inference import (
+    CompiledNetwork,
     QueryResult,
+    compile_network,
     conditional_query,
     eliminate,
     joint_probability,
@@ -74,7 +76,9 @@ __all__ = [
     "save_network",
     "topological_order",
     "validate",
+    "CompiledNetwork",
     "QueryResult",
+    "compile_network",
     "conditional_query",
     "eliminate",
     "joint_probability",

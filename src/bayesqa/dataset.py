@@ -17,7 +17,9 @@ serially: the work is pure Python, and a thread pool measured slower than
 one thread. The ``workers`` keyword is still accepted and has no effect.
 
 Whatever depends only on the network is built once per network and shared
-by its instances: the premises tuple, the program encoding
+by its instances: the premises tuple, the elimination form that every
+evidence draw of every instance is answered on
+(:func:`~bayesqa.inference.compile_network`), the program encoding
 (:class:`NetworkEncoder`: ``bn_to_problog`` clauses, their canonical text
 and the predicates a negated-query indicator must avoid), and, in
 :func:`save_dataset`, the JSON text of the premise block. Per instance, only
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NetworkFormatError, UnsatisfiableEvidence, ZeroProbabilityEvidence
-from .inference import eliminate
+from .inference import CompiledNetwork, compile_network, eliminate
 from .model import (
     BayesianNetwork,
     children,
@@ -212,7 +214,7 @@ def template_premises(
 
 
 def sample_qe(
-    network: BayesianNetwork,
+    network: BayesianNetwork | CompiledNetwork,
     rng: np.random.Generator,
     *,
     max_retries: int = MAX_EVIDENCE_RETRIES,
@@ -221,10 +223,13 @@ def sample_qe(
 
     Evidence assignments with probability zero are rejected and redrawn; after
     ``max_retries`` rejections :class:`UnsatisfiableEvidence` is raised (the
-    network is then near-deterministic and not a useful QA subject).
+    network is then near-deterministic and not a useful QA subject). Each
+    draw is answered by :func:`~bayesqa.inference.eliminate` on ``network``:
+    pass the network's compiled form to answer every draw on one form.
     """
 
-    ids = sorted(network.variables)
+    net = network.network if isinstance(network, CompiledNetwork) else network
+    ids = sorted(net.variables)
     n = len(ids)
     if n < 2:
         raise ValueError("query/evidence sampling needs at least 2 variables")
@@ -240,9 +245,9 @@ def sample_qe(
         query_var = rest[int(rng.integers(len(rest)))]
         evidence = []
         for v in evidence_vars:
-            states = network.states(v)
+            states = net.states(v)
             evidence.append((v, states[int(rng.integers(len(states)))]))
-        qstates = network.states(query_var)
+        qstates = net.states(query_var)
         query_state = qstates[int(rng.integers(len(qstates)))]
         try:
             gold = eliminate(network, query_var, query_state, dict(evidence)).probability
@@ -339,10 +344,11 @@ def generate_dataset(
         network, "wep", premise_rng, second_closest_prob=second_closest_prob
     )
     premises = tuple(numeric + verbal)
+    form = compile_network(network)
 
     def build(i: int) -> DatasetInstance:
         rng = _instance_rng(seed, stream, i)
-        qe = sample_qe(network, rng)
+        qe = sample_qe(form, rng)
         types, primary = classify_reasoning(
             network, [v for v, _ in qe.evidence], qe.query_var
         )

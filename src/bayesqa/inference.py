@@ -17,6 +17,14 @@ Two independent engines answer the same questions:
 Both engines read one compiled form of the network and take evidence and
 targets through one validator. Evidence maps a variable to a state or to a
 *set* of allowed states, which conditioning on a negated program atom needs.
+
+:func:`compile_network` builds that form once; :func:`masked_posterior`,
+:func:`posterior` and :func:`eliminate` take either a network, which they
+compile per call, or a compiled form, which a caller asking many queries of
+one network (dataset generation, subnetwork extraction, program evaluation)
+builds once and passes to each. The elimination factors and the moral graph
+are built on the form's first elimination, so an enumeration sweep never pays
+for them.
 """
 
 from __future__ import annotations
@@ -57,16 +65,19 @@ class QueryResult:
 # ---------------------------------------------------------------------------
 
 
-class _Compiled:
-    """Integer-indexed form of a network, built once per engine call.
+class CompiledNetwork:
+    """Integer-indexed form of a network, read by both engines.
 
     ``rows[i]`` holds the stored CPT rows of ``order[i]`` (topological) in
     :func:`parent_assignments` order; ``strides[i]`` maps parent states to a row.
+    The form never changes once built, so one form can answer any number of
+    queries on its network; :func:`compile_network` makes one.
     """
 
-    __slots__ = ("order", "pos", "card", "parent_pos", "strides", "rows")
+    __slots__ = ("network", "order", "pos", "card", "parent_pos", "strides", "rows", "_factors", "_moral")
 
     def __init__(self, network: BayesianNetwork):
+        self.network = network
         self.order: tuple[str, ...] = tuple(topological_order(network))
         self.pos: dict[str, int] = {}
         self.card: dict[str, int] = {}
@@ -82,6 +93,42 @@ class _Compiled:
             ps = cpt.parents
             self.strides.append(tuple(math.prod(self.card[q] for q in ps[j + 1 :]) for j in range(len(ps))))
             self.rows.append([cpt.rows[key] for key in parent_assignments(network, v)])
+        self._factors: tuple[_Factor, ...] | None = None
+        self._moral: dict[str, frozenset[str]] | None = None
+
+    def factors(self) -> tuple[_Factor, ...]:
+        """One factor per CPT, in declaration order, axes sorted; built on
+        first use. Elimination only reads them: every product and sum makes a
+        new table."""
+
+        if self._factors is None:
+            out = []
+            for v in self.network.variables:
+                scope = self.network.cpts[v].parents + (v,)
+                axes = tuple(sorted(scope))
+                table = np.array(self.rows[self.pos[v]]).reshape([self.card[u] for u in scope])
+                out.append(_Factor(axes, np.ascontiguousarray(table.transpose([scope.index(u) for u in axes]))))
+            self._factors = tuple(out)
+        return self._factors
+
+    def moral(self) -> dict[str, frozenset[str]]:
+        """Each variable's neighbours in the moral graph (the union of the CPT
+        scopes it shares); built on first use."""
+
+        if self._moral is None:
+            linked: dict[str, set[str]] = {v: set() for v in self.network.variables}
+            for f in self.factors():
+                for a in f.vars:
+                    linked[a].update(f.vars)
+            self._moral = {v: frozenset(n - {v}) for v, n in linked.items()}
+        return self._moral
+
+
+def compile_network(network: BayesianNetwork | CompiledNetwork) -> CompiledNetwork:
+    """The compiled form of ``network``; a form that is already compiled is
+    returned as it is."""
+
+    return network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
 
 
 def _normalize_constraints(
@@ -112,7 +159,7 @@ def _zero_mass(constraints: Constraints) -> ZeroProbabilityEvidence:
 # ---------------------------------------------------------------------------
 
 
-def _chain_product(c: _Compiled, world: Sequence[int]) -> float:
+def _chain_product(c: CompiledNetwork, world: Sequence[int]) -> float:
     p = 1.0
     for i in range(len(world)):
         row = 0
@@ -182,7 +229,7 @@ def constrained_sweep(
     constraints leave more than :data:`MAX_JOINT_STATES` assignments.
     """
 
-    c = _Compiled(network)
+    c = CompiledNetwork(network)
     allowed_idx: list[Sequence[int]] = [range(c.card[v]) for v in c.order]
     for var, idx in _normalize_constraints(network, constraints.items()):
         allowed_idx[c.pos[var]] = idx
@@ -235,7 +282,7 @@ def _sum_out(f: _Factor, var: str) -> _Factor:
 
 
 def masked_posterior(
-    network: BayesianNetwork,
+    network: BayesianNetwork | CompiledNetwork,
     variable: str,
     constraints: Constraints,
 ) -> np.ndarray:
@@ -246,29 +293,23 @@ def masked_posterior(
     gives the probability of the constraint event.
     """
 
-    allowed = _normalize_constraints(network, constraints.items())
-    if variable not in network.variables:
+    c = compile_network(network)
+    net = c.network
+    allowed = _normalize_constraints(net, constraints.items())
+    if variable not in net.variables:
         raise UnknownVariable(f"unknown variable {variable!r}")
-    c = _Compiled(network)
     card = c.card
 
     # CPTs in declaration order, then masks: each bucket multiplies in this order
-    factors: list[_Factor] = []
-    for v in network.variables:
-        scope = network.cpts[v].parents + (v,)
-        axes = tuple(sorted(scope))
-        table = np.array(c.rows[c.pos[v]]).reshape([card[u] for u in scope])
-        factors.append(_Factor(axes, np.ascontiguousarray(table.transpose([scope.index(u) for u in axes]))))
+    factors: list[_Factor] = list(c.factors())
     for var, idx in allowed:
         mask = np.zeros(card[var])
         mask[list(idx)] = 1.0
         factors.append(_Factor((var,), mask))
 
-    to_eliminate = set(network.variables) - {variable}
-    neighbors: dict[str, set[str]] = {v: set() for v in network.variables}
-    for f in factors:
-        for a in f.vars:
-            neighbors[a].update(set(f.vars) - {a})
+    # masks are unary, so they add no edge to the moral graph
+    to_eliminate = set(net.variables) - {variable}
+    neighbors: dict[str, set[str]] = {v: set(n) for v, n in c.moral().items()}
 
     while to_eliminate:
         target = min(to_eliminate, key=lambda v: (len(neighbors[v] & to_eliminate), v))
@@ -299,7 +340,7 @@ def masked_posterior(
 
 
 def posterior(
-    network: BayesianNetwork,
+    network: BayesianNetwork | CompiledNetwork,
     variable: str,
     constraints: Constraints = (),
 ) -> tuple[float, ...]:
@@ -317,7 +358,7 @@ def posterior(
 
 
 def eliminate(
-    network: BayesianNetwork,
+    network: BayesianNetwork | CompiledNetwork,
     query_var: str,
     query_state: str,
     evidence: Mapping[str, str],
@@ -327,10 +368,11 @@ def eliminate(
     Same contract as :func:`conditional_query`; exact up to float rounding.
     """
 
+    c = compile_network(network)
     if query_var in evidence:
         raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
-    [(_, (qstate,))] = _normalize_constraints(network, [(query_var, query_state)])
-    return QueryResult(probability=posterior(network, query_var, evidence)[qstate], method="elimination")
+    [(_, (qstate,))] = _normalize_constraints(c.network, [(query_var, query_state)])
+    return QueryResult(probability=posterior(c, query_var, evidence)[qstate], method="elimination")
 
 
 def _as_probability(value: float) -> float:

@@ -20,7 +20,7 @@ from ..errors import (
     UnstratifiedNegation,
     ZeroProbabilityEvidence,
 )
-from ..inference import _zero_mass, constrained_sweep, posterior
+from ..inference import _zero_mass, compile_network, constrained_sweep, posterior
 from .convert import compile_program
 from .syntax import Atom, ProblogProgram, format_atom
 
@@ -48,8 +48,9 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
             raise _zero_mass(constraints)
         return {q.atom: num / den for q, num in zip(program.queries, nums)}
 
+    form = compile_network(net)
     return {
-        q.atom: posterior(net, vid, constraints)[net.states(vid).index(state)]
+        q.atom: posterior(form, vid, constraints)[net.states(vid).index(state)]
         for q, (vid, state) in zip(program.queries, targets)
     }
 

@@ -14,11 +14,19 @@ that make generated text less mechanical while staying decodable:
 Ties within a candidate set are broken uniformly at random in table order.
 Exact 0 and 1 map to "impossible"/"certain" without consuming randomness, so
 certainty never wobbles.
+
+The two candidate sets are a step function of the probability: they change
+only at the edges of the ``_TIE_EPS`` tie zone around a midpoint between two
+anchors. The module finds those floats once, at import, and a selection looks
+its sets up by bisection; they are the sets a scan of the whole table gives.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -74,20 +82,73 @@ def wep_to_prob(phrase: str) -> float:
         raise UnknownWepPhrase(f"phrase {phrase!r} is not in the estimative-probability table") from None
 
 
-def _candidate_sets(p: float) -> tuple[list[str], list[str]]:
-    """Phrases at the smallest and second-smallest anchor distance."""
+def _scan_sets(p: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Phrases at the smallest and second-smallest anchor distance, by a scan
+    of the table: the definition the breakpoint table is built from."""
 
     dists = [abs(p - entry.anchor) for entry in ANCHOR_TABLE]
     best = min(dists)
-    primary = [e.phrase for e, d in zip(ANCHOR_TABLE, dists) if d <= best + _TIE_EPS]
+    primary = tuple(e.phrase for e, d in zip(ANCHOR_TABLE, dists) if d <= best + _TIE_EPS)
     beyond = [d for d in dists if d > best + _TIE_EPS]
     if not beyond:
-        return primary, []
+        return primary, ()
     second = min(beyond)
-    secondary = [
+    secondary = tuple(
         e.phrase for e, d in zip(ANCHOR_TABLE, dists) if best + _TIE_EPS < d <= second + _TIE_EPS
-    ]
+    )
     return primary, secondary
+
+
+def _first_true(start: float, holds: Callable[[float], bool]) -> float:
+    """The least float at which ``holds``, false below some point and true
+    from it on, is true; searched one float at a time from ``start``."""
+
+    p = start
+    if holds(p):
+        while holds(below := math.nextafter(p, -math.inf)):
+            p = below
+        return p
+    while not holds(p):
+        p = math.nextafter(p, math.inf)
+    return p
+
+
+def _breakpoint_table() -> tuple[tuple[float, ...], tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]]:
+    """Every float at which the scan's sets change, and the sets from each on.
+
+    Going up through the midpoint of anchors ``lo < hi``, ``hi`` first comes
+    within ``_TIE_EPS`` of ``lo``'s distance, then ``lo`` falls more than
+    ``_TIE_EPS`` behind ``hi``'s. Each is a monotone comparison of the scan's
+    own float distances, so its first float lies a step or two from
+    ``mid ∓ _TIE_EPS / 2``. Only anchors at most three apart in sorted order
+    can meet among the two nearest groups (three apart when the two between
+    them tie). Points where the scan's sets do not change are dropped.
+    """
+
+    anchors = sorted({entry.anchor for entry in ANCHOR_TABLE})
+    points = set()
+    for i, lo in enumerate(anchors):
+        for hi in anchors[i + 1 : i + 4]:
+            mid = (lo + hi) / 2
+            points.add(_first_true(mid - _TIE_EPS / 2, lambda p: abs(p - hi) <= abs(p - lo) + _TIE_EPS))
+            points.add(_first_true(mid + _TIE_EPS / 2, lambda p: abs(p - lo) > abs(p - hi) + _TIE_EPS))
+    breaks: list[float] = []
+    sets = [_scan_sets(0.0)]
+    for point in sorted(points):
+        here = _scan_sets(point)
+        if here != sets[-1]:
+            breaks.append(point)
+            sets.append(here)
+    return tuple(breaks), tuple(sets)
+
+
+_BREAKS, _SETS = _breakpoint_table()
+
+
+def _candidate_sets(p: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Phrases at the smallest and second-smallest anchor distance."""
+
+    return _SETS[bisect_right(_BREAKS, p)]
 
 
 def prob_to_wep(

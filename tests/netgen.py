@@ -101,6 +101,23 @@ def random_network(
     return net
 
 
+def with_zeros(rng: np.random.Generator, net: BayesianNetwork) -> BayesianNetwork:
+    """Move the mass of some CPT entries to their neighbours, leaving zeros,
+    so that some evidence has probability 0; ``net`` is changed in place."""
+
+    for v, cpt in list(net.cpts.items()):
+        rows = {}
+        for key, row in cpt.rows.items():
+            row = list(row)
+            if rng.random() < 0.3:
+                j = int(rng.integers(len(row)))
+                row[(j + 1) % len(row)] += row[j]
+                row[j] = 0.0
+            rows[key] = tuple(row)
+        net.cpts[v] = replace(cpt, rows=rows)
+    return net
+
+
 def _assignments(net: BayesianNetwork, parent_ids: tuple[str, ...]):
     import itertools
 

@@ -8,7 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from bayesqa import generate_dataset, make_network
+import netgen
+from bayesqa import dataset, generate_dataset, make_network
 from bayesqa.dataset import (
     DatasetStats,
     NetworkEncoder,
@@ -25,8 +26,13 @@ from bayesqa.dataset import (
     template_premises,
     _percent,
 )
-from bayesqa.errors import NetworkFormatError, UnknownState, UnsatisfiableEvidence
-from bayesqa.inference import eliminate
+from bayesqa.errors import (
+    NetworkFormatError,
+    UnknownState,
+    UnsatisfiableEvidence,
+    ZeroProbabilityEvidence,
+)
+from bayesqa.inference import compile_network, eliminate
 from bayesqa.problog import evaluate, serialize
 
 GALLSTONE_ROW0 = (
@@ -141,6 +147,39 @@ class TestSampleQe:
         net = make_network("one", {"a": (("t", "f"), (), {(): (0.5, 0.5)})})
         with pytest.raises(ValueError, match="at least 2"):
             sample_qe(net, np.random.default_rng(7))
+
+    def test_shared_form_matches_the_per_draw_path(self, monkeypatch):
+        """Every draw on one compiled form goes through the public
+        ``eliminate`` and gives the pair, and leaves the rng state, of the
+        path that compiles the network again for each draw."""
+
+        draws = {"form": 0, "rejected": 0}
+
+        def counted(source, *args):
+            draws["form"] += source is form
+            try:
+                return eliminate(source, *args)
+            except ZeroProbabilityEvidence:
+                draws["rejected"] += 1
+                raise
+
+        monkeypatch.setattr(dataset, "eliminate", counted)
+
+        def outcome(source, rng):
+            try:
+                return sample_qe(source, rng, max_retries=20)
+            except UnsatisfiableEvidence as err:
+                return str(err)
+
+        rng = np.random.default_rng(8080)
+        for i in range(500):
+            net = netgen.with_zeros(rng, netgen.random_network(rng, name=f"qe{i}", max_vars=7))
+            form = compile_network(net)
+            for j in range(2):
+                shared, fresh = np.random.default_rng([i, j]), np.random.default_rng([i, j])
+                assert outcome(form, shared) == outcome(net, fresh), net.name
+                assert shared.bit_generator.state == fresh.bit_generator.state, net.name
+        assert draws["form"] > 0 and draws["rejected"] > 0  # retries were exercised
 
 
 class TestClassifyReasoning:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from bayesqa.errors import (
     ZeroProbabilityEvidence,
 )
 from bayesqa.inference import (
+    compile_network,
     conditional_query,
     constrained_sweep,
     eliminate,
@@ -308,22 +308,6 @@ class TestPinnedBits:
             assert type(got) is float and got == want, net.name
 
     @staticmethod
-    def _with_zeros(rng, net):
-        """Move the mass of some CPT entries to their neighbours, leaving zeros."""
-
-        for v, cpt in list(net.cpts.items()):
-            rows = {}
-            for key, row in cpt.rows.items():
-                row = list(row)
-                if rng.random() < 0.3:
-                    j = int(rng.integers(len(row)))
-                    row[(j + 1) % len(row)] += row[j]
-                    row[j] = 0.0
-                rows[key] = tuple(row)
-            net.cpts[v] = replace(cpt, rows=rows)
-        return net
-
-    @staticmethod
     def _eliminated(net, target, constraints):
         """Elimination written out again: factors filled entry by entry in
         declaration order, masks after them, min-degree order with
@@ -373,7 +357,7 @@ class TestPinnedBits:
         for i in range(240):
             net = netgen.random_network(rng, name=f"elim{i}", max_vars=7)
             if i % 2:
-                net = self._with_zeros(rng, net)
+                net = netgen.with_zeros(rng, net)
             qv, _, ev = netgen.random_point_query(rng, net)
             constraints = {
                 v: s if rng.random() < 0.5 else {t for t in net.states(v) if t == s or rng.random() < 0.5}
@@ -383,3 +367,53 @@ class TestPinnedBits:
                 constraints[qv] = {t for t in net.states(qv) if rng.random() < 0.6}
             want = self._eliminated(net, qv, constraints)
             assert np.array_equal(masked_posterior(net, qv, constraints), want), net.name
+
+
+class TestCompiledForm:
+    """One compiled form answering many queries gives exactly what a fresh
+    compile per query gives, zero-mass reports included."""
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ZeroProbabilityEvidence as err:
+            return f"ZeroProbabilityEvidence: {err}"
+
+    def test_shared_form_matches_per_call_compile(self):
+        rng = np.random.default_rng(6161)
+        zero_mass = 0
+        for i in range(500):
+            net = netgen.with_zeros(rng, netgen.random_network(rng, name=f"form{i}", max_vars=7))
+            form = compile_network(net)
+            assert compile_network(form) is form
+            for _ in range(3):
+                qv, qs, ev = netgen.random_point_query(rng, net)
+                shared = self._outcome(lambda: eliminate(form, qv, qs, ev).probability.hex())
+                fresh = self._outcome(lambda: eliminate(net, qv, qs, ev).probability.hex())
+                assert shared == fresh, net.name
+                zero_mass += shared.startswith("ZeroProbabilityEvidence")
+                assert self._outcome(lambda: posterior(form, qv, ev)) == self._outcome(lambda: posterior(net, qv, ev))
+                assert np.array_equal(masked_posterior(form, qv, ev), masked_posterior(net, qv, ev)), net.name
+        assert zero_mass > 0  # the raising path was exercised too
+
+    def test_elimination_leaves_the_form_unchanged(self, gallstone_net):
+        form = compile_network(gallstone_net)
+        first = eliminate(form, "amylase", "500-1400", {"flatulence": "true"})
+        for v in gallstone_net.variables:
+            posterior(form, v, {})
+            posterior(form, v, {"gallstones": {"true"}})
+        fresh = compile_network(gallstone_net)
+        assert form.moral() == fresh.moral()
+        for a, b in zip(form.factors(), fresh.factors(), strict=True):
+            assert a.vars == b.vars and np.array_equal(a.values, b.values)
+        assert eliminate(form, "amylase", "500-1400", {"flatulence": "true"}) == first
+
+    def test_enumeration_builds_no_factor_tables(self, gallstone_net, monkeypatch):
+        def refuse(self):
+            raise AssertionError("enumeration built elimination factors")
+
+        monkeypatch.setattr(inference.CompiledNetwork, "factors", refuse)
+        monkeypatch.setattr(inference.CompiledNetwork, "moral", refuse)
+        assert conditional_query(gallstone_net, "amylase", "500-1400", {"flatulence": "true"}).probability > 0
+        assert marginal(gallstone_net, {"flatulence": "true"}) > 0

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 import netgen
 from bayesqa import conditional_query, make_network, subset, validate
-from bayesqa.errors import UnknownVariable
+from bayesqa.errors import UnknownVariable, ZeroProbabilityEvidence
+from bayesqa.inference import posterior
 from bayesqa.model import network_to_dict
 from bayesqa.netops import marginal_prior
 
@@ -198,6 +200,40 @@ class TestSubset:
         assert sub.cpts["x"].rows[("f",)] == (0.5, 0.5)
         assert sub.cpts["x"].rows[("t",)] == pytest.approx((0.85, 0.15), abs=1e-12)
         assert validate(sub) == []
+
+    def test_recomputed_rows_equal_per_row_posteriors(self):
+        """One compiled form answers every row of an extraction; each row is
+        the posterior of a fresh compile, or uniform with a warning where the
+        parent assignment has probability 0."""
+
+        rng = np.random.default_rng(3131)
+        checked = fallbacks = 0
+        while checked < 100:
+            net = netgen.random_network(rng, name=f"sub{checked}", max_vars=7)
+            for _ in range(3):  # zeros enough that some kept parent assignment is impossible
+                netgen.with_zeros(rng, net)
+            keep = [v for v in net.variables if rng.random() < 0.6]
+            lost = [v for v in keep if set(net.cpts[v].parents) - set(keep)]
+            if not lost:
+                continue
+            checked += 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sub = subset(net, keep)
+            uniform_warnings = sum("uniform row" in str(w.message) for w in caught)
+            want_fallbacks = 0
+            for vid in lost:
+                for key, row in sub.cpts[vid].rows.items():
+                    try:
+                        want = posterior(net, vid, dict(zip(sub.cpts[vid].parents, key)))
+                    except ZeroProbabilityEvidence:
+                        k = len(net.states(vid))
+                        want = tuple(1.0 / k for _ in range(k))
+                        want_fallbacks += 1
+                    assert row == want, net.name
+            assert uniform_warnings == want_fallbacks, net.name
+            fallbacks += want_fallbacks
+        assert fallbacks > 0, fallbacks  # the uniform fallback was exercised too
 
     def test_empty_keep_rejected(self, gallstone_net):
         with pytest.raises(ValueError, match="at least one"):

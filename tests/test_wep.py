@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+import netgen
+from bayesqa import wep
 from bayesqa.errors import UnknownWepPhrase
 from bayesqa.wep import (
     ABOUT_EVEN_FLOOR,
@@ -15,6 +19,7 @@ from bayesqa.wep import (
     verbalize_distribution,
     wep_to_prob,
     _candidate_sets,
+    _TIE_EPS,
 )
 
 
@@ -94,8 +99,8 @@ class TestProbToWep:
 
     def test_tie_sets_at_point7(self):
         primary, secondary = _candidate_sets(0.70)
-        assert primary == ["likely", "probably", "probable"]
-        assert secondary == ["very good chance", "better than even"]
+        assert primary == ("likely", "probably", "probable")
+        assert secondary == ("very good chance", "better than even")
 
     def test_tied_anchors_all_appear(self):
         rng = np.random.default_rng(6)
@@ -141,3 +146,82 @@ class TestVerbalizeDistribution:
             verbalize_distribution([], rng)
         with pytest.raises(ValueError, match="outside"):
             verbalize_distribution([0.5, 1.5], rng)
+
+
+def _scan(p: float) -> tuple[list[str], list[str]]:
+    """The candidate sets by two passes over the table, as selection first
+    computed them: the oracle for the breakpoint lookup."""
+
+    dists = [abs(p - entry.anchor) for entry in ANCHOR_TABLE]
+    best = min(dists)
+    primary = [e.phrase for e, d in zip(ANCHOR_TABLE, dists) if d <= best + _TIE_EPS]
+    beyond = [d for d in dists if d > best + _TIE_EPS]
+    if not beyond:
+        return primary, []
+    second = min(beyond)
+    secondary = [
+        e.phrase for e, d in zip(ANCHOR_TABLE, dists) if best + _TIE_EPS < d <= second + _TIE_EPS
+    ]
+    return primary, secondary
+
+
+def _scanned(p: float) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    primary, secondary = _scan(p)
+    return tuple(primary), tuple(secondary)
+
+
+def _steps(p: float, n: int) -> list[float]:
+    """``p`` and the ``n`` floats on either side of it."""
+
+    out = [p]
+    below = above = p
+    for _ in range(n):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+class TestBreakpointLookup:
+    def test_table_is_minimal(self):
+        assert list(wep._BREAKS) == sorted(set(wep._BREAKS))
+        assert len(wep._SETS) == len(wep._BREAKS) + 1
+        assert all(a != b for a, b in zip(wep._SETS, wep._SETS[1:]))
+
+    def test_grid(self):
+        for i in range(10**6 + 1):
+            p = i / 10**6
+            assert _candidate_sets(p) == _scanned(p), p
+
+    def test_random_floats(self):
+        for p in np.random.default_rng(17).random(100_000).tolist():
+            assert _candidate_sets(p) == _scanned(p), p
+
+    def test_around_every_breakpoint(self):
+        for b in wep._BREAKS:
+            for p in _steps(b, 5):
+                assert _candidate_sets(p) == _scanned(p), p
+
+    def test_at_every_tie_zone(self):
+        anchors = sorted({e.anchor for e in ANCHOR_TABLE})
+        for i, lo in enumerate(anchors):
+            for hi in anchors[i + 1 :]:
+                mid = (lo + hi) / 2
+                for centre in (mid - _TIE_EPS, mid - _TIE_EPS / 2, mid, mid + _TIE_EPS / 2, mid + _TIE_EPS):
+                    for p in _steps(centre, 3):
+                        assert _candidate_sets(p) == _scanned(p), p
+
+    def test_verbalized_rows_match_the_scan(self, monkeypatch):
+        """Same phrases and the same rng state after every row of 200
+        random networks, whether the sets come from the lookup or the scan."""
+
+        rng = np.random.default_rng(2323)
+        rows = []
+        for i in range(200):
+            net = netgen.with_zeros(rng, netgen.random_network(rng, name=f"wep{i}"))
+            rows += [row for cpt in net.cpts.values() for row in cpt.rows.values()]
+        runs = []
+        for sets in (_candidate_sets, _scanned):
+            monkeypatch.setattr(wep, "_candidate_sets", sets)
+            draw = np.random.default_rng(99)
+            runs.append(([verbalize_distribution(row, draw) for row in rows], draw.bit_generator.state))
+        assert runs[0] == runs[1]
