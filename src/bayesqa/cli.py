@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--kind", choices=("numeric", "wep", "both"), default="both")
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect (generation is serial)")
     p.add_argument("--second-closest", type=float, default=0.1)
 
     p = add("wep", cmd_wep, "map a probability to a phrase or back")
@@ -397,9 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     args.format = getattr(args, "format", "human")
     args.precision = getattr(args, "precision", DEFAULT_PRECISION)
 
-    if getattr(args, "query", None) is not None and args.command == "infer":
-        args.query = _binding(args.query, parser)
     if args.command == "infer":
+        args.query = _binding(args.query, parser)
         args.evidence = [_binding(e, parser) for e in args.evidence]
     if args.command in ("score", "baseline"):
         args.bucket_edges = _bucket_edges(args.buckets, parser)

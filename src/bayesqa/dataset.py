@@ -14,7 +14,7 @@ function of its arguments. Randomness comes from per-purpose
 per instance index — so results do not depend on generation order, and
 serialized output is byte-identical across runs. Instances are built
 serially: the work is pure Python, and a thread pool measured slower than
-one thread. The ``workers`` keyword is still accepted and has no effect.
+one thread.
 
 Whatever depends only on the network is built once per network and shared
 by its instances: the premises tuple, the elimination form that every
@@ -216,14 +216,12 @@ def template_premises(
 def sample_qe(
     network: BayesianNetwork | CompiledNetwork,
     rng: np.random.Generator,
-    *,
-    max_retries: int = MAX_EVIDENCE_RETRIES,
 ) -> QePair:
     """Draw evidence over 1..n-1 variables plus a query about another one.
 
     Evidence assignments with probability zero are rejected and redrawn; after
-    ``max_retries`` rejections :class:`UnsatisfiableEvidence` is raised (the
-    network is then near-deterministic and not a useful QA subject). Each
+    ``MAX_EVIDENCE_RETRIES`` rejections :class:`UnsatisfiableEvidence` is raised
+    (the network is then near-deterministic and not a useful QA subject). Each
     draw is answered by :func:`~bayesqa.inference.eliminate` on ``network``:
     pass the network's compiled form to answer every draw on one form.
     """
@@ -234,7 +232,7 @@ def sample_qe(
     if n < 2:
         raise ValueError("query/evidence sampling needs at least 2 variables")
 
-    for _ in range(max_retries):
+    for _ in range(MAX_EVIDENCE_RETRIES):
         m = 1 + int(rng.integers(n - 1))
         pool = list(ids)
         for j in range(m):  # partial Fisher-Yates, explicit for cross-version stability
@@ -260,7 +258,7 @@ def sample_qe(
             gold=gold,
         )
     raise UnsatisfiableEvidence(
-        f"no satisfiable evidence assignment found in {max_retries} draws"
+        f"no satisfiable evidence assignment found in {MAX_EVIDENCE_RETRIES} draws"
     )
 
 
@@ -315,15 +313,13 @@ def generate_dataset(
     count: int,
     seed: int,
     *,
-    workers: int = 1,
     second_closest_prob: float = 0.1,
     stream: int = 0,
 ) -> list[DatasetInstance]:
     """Generate ``count`` instances for one network.
 
     ``stream`` separates the substreams of several networks generated under
-    one seed (the CLI passes the network's position). ``workers`` is
-    accepted for compatibility and has no effect: generation is serial.
+    one seed (the CLI passes the network's position).
     """
 
     if count <= 0:

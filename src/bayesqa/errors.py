@@ -49,9 +49,9 @@ class UnrepresentableName(BayesqaError):
 
 
 class EnumerationBoundExceeded(BayesqaError):
-    """Enumeration would exceed its bound, checked before the first step: a
-    program with more live choice points than ``enumerate_worlds`` allows, or
-    more joint states left by the evidence than ``constrained_sweep`` walks."""
+    """Enumeration would walk more than ``inference.MAX_JOINT_STATES`` possible
+    worlds (``enumerate_worlds``) or joint states left by the evidence
+    (``constrained_sweep``); checked before the first step."""
 
 
 class UnstratifiedNegation(BayesqaError):

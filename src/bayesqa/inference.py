@@ -46,7 +46,7 @@ from .model import BayesianNetwork, parent_assignments, state_index, topological
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
-# the same 2**20 budget as semantics.MAX_CHOICE_POINTS binary choices
+# one budget for both enumerators: these joint states and enumerate_worlds's worlds
 MAX_JOINT_STATES = 2**20
 
 Constraints = Mapping[str, "AbstractSet[str] | str"]

@@ -64,9 +64,6 @@ class BayesianNetwork:
     cpts: dict[str, Cpt] = field(default_factory=dict)
     entity: str = "x"
 
-    def variable_ids(self) -> list[str]:
-        return list(self.variables)
-
     def states(self, variable: str) -> tuple[str, ...]:
         try:
             return self.variables[variable].states
@@ -423,7 +420,7 @@ def read_input(path: str | Path) -> str:
         raise NetworkFormatError(f"{path}: no such file") from None
 
 
-def load_network(path: str | Path, *, renormalize: bool = False) -> BayesianNetwork:
+def load_network(path: str | Path) -> BayesianNetwork:
     """Load and validate a network file; see :func:`network_from_dict`."""
 
     text = read_input(path)
@@ -431,7 +428,7 @@ def load_network(path: str | Path, *, renormalize: bool = False) -> BayesianNetw
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"{path}: not valid JSON ({exc})") from None
-    return network_from_dict(doc, renormalize=renormalize)
+    return network_from_dict(doc)
 
 
 def save_network(network: BayesianNetwork, path: str | Path) -> None:

@@ -14,17 +14,18 @@ enumerator the oracle for the translation.
 from __future__ import annotations
 
 import itertools
+import math
 
+from .. import inference
 from ..errors import (
     EnumerationBoundExceeded,
     UnstratifiedNegation,
+    UnsupportedFragment,
     ZeroProbabilityEvidence,
 )
 from ..inference import _zero_mass, compile_network, constrained_sweep, posterior
 from .convert import compile_program
-from .syntax import Atom, ProblogProgram, format_atom
-
-MAX_CHOICE_POINTS = 20
+from .syntax import Atom, ProblogProgram, format_atom, validate_program
 
 
 def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[Atom, float]:
@@ -60,9 +61,7 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
 # ---------------------------------------------------------------------------
 
 
-def enumerate_worlds(
-    program: ProblogProgram, *, max_choices: int = MAX_CHOICE_POINTS
-) -> dict[Atom, float]:
+def enumerate_worlds(program: ProblogProgram) -> dict[Atom, float]:
     """Distribution semantics by brute force.
 
     Every clause contributes one choice: one of its heads, or "no head" when
@@ -72,11 +71,16 @@ def enumerate_worlds(
     fires its rules level by level to a fixpoint, and ``not`` only consults
     finished levels. Worlds inconsistent with the evidence are dropped; query
     probabilities are evidence-conditional sums of world probabilities.
-    Raises :class:`UnstratifiedNegation` when negation sits inside a cycle.
-
-    Zero-probability alternatives are pruned, and clauses with a single
-    surviving alternative do not count against ``max_choices``.
+    Raises :class:`UnstratifiedNegation` when negation sits inside a cycle,
+    :class:`UnsupportedFragment` when a clause's heads sum above 1, and,
+    before the first world, :class:`EnumerationBoundExceeded` when the worlds
+    (the product of the clauses' nonzero alternatives) outnumber
+    ``inference.MAX_JOINT_STATES``, read at call time.
     """
+
+    problems = validate_program(program)
+    if problems:
+        raise UnsupportedFragment(problems[0])
 
     choices: list[list[tuple[Atom | None, float]]] = []
     for clause in program.clauses:
@@ -90,10 +94,10 @@ def enumerate_worlds(
             alts.append((None, 1.0))
         choices.append(alts)
 
-    live = sum(1 for alts in choices if len(alts) > 1)
-    if live > max_choices:
+    worlds = math.prod(len(alts) for alts in choices)
+    if worlds > inference.MAX_JOINT_STATES:
         raise EnumerationBoundExceeded(
-            f"program has {live} choice points, more than the bound of {max_choices}"
+            f"program has {worlds} possible worlds, more than the bound of {inference.MAX_JOINT_STATES}"
         )
 
     strata = _clause_strata(program)

@@ -28,6 +28,12 @@ query(amylase(patient, '500-1400')).
 
 GALLSTONE_ANSWER = 0.011316399030456706
 
+# 13 three-way annotated disjunctions: 3**13 = 1594323 possible worlds, over
+# the 2**20 enumeration budget with only 13 choice points
+WIDE_PROGRAM_TEXT = "".join(
+    f"0.333333::a{i}(e,x); 0.333333::a{i}(e,y); 0.333334::a{i}(e,z).\n" for i in range(13)
+) + "query(a0(e,x)).\n"
+
 # chain-rule terms behind the answer: per-cause joints, their sum, and the
 # evidence marginal (all as the float arithmetic of the engines produces them)
 GALLSTONE_JOINT_WITH_CAUSE = 0.001123715725

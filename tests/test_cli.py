@@ -26,7 +26,7 @@ from bayesqa.model import load_network, make_network, network_from_dict, save_ne
 from bayesqa.problog import bn_to_problog, parse, serialize
 from bayesqa.problog.convert import atom_for
 from bayesqa.problog.syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
-from conftest import GALLSTONE_TEXT, three_state_chain
+from conftest import GALLSTONE_TEXT, WIDE_PROGRAM_TEXT, three_state_chain
 
 DATA = Path(__file__).parent / "data"
 NET = str(DATA / "gallstones.json")
@@ -220,6 +220,16 @@ class TestSolve:
         assert errs["enumeration"] == errs["elimination"]
         assert errs["worlds"] == "error: ZeroProbabilityEvidence: evidence ['x(e,a)=false'] has probability 0\n"
 
+    def test_worlds_refuses_a_wide_program(self, capsys, tmp_path):
+        path = tmp_path / "wide.pl"
+        path.write_text(WIDE_PROGRAM_TEXT, encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path), "--method", "worlds")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: EnumerationBoundExceeded: program has 1594323 possible worlds,"
+            " more than the bound of 1048576\n"
+        )
+
 
 class TestTranslation:
     def test_to_problog_round_trip(self, capsys, tmp_path):
@@ -280,11 +290,10 @@ class TestSubset:
 class TestGenDataset:
     def test_files_and_determinism(self, capsys, tmp_path, sprinkler_file):
         dirs = [tmp_path / "one", tmp_path / "two", tmp_path / "three"]
-        for d, workers in zip(dirs, ("1", "1", "4")):
+        for d in dirs:
             code, out, _ = run(
                 capsys, "gen-dataset", NET, sprinkler_file,
-                "--count", "4", "--out", str(d), "--seed", "9",
-                "--workers", workers, "--format", "machine",
+                "--count", "4", "--out", str(d), "--seed", "9", "--format", "machine",
             )
             assert code == 0
             assert machine(out)["instances"] == 8
@@ -375,6 +384,12 @@ class TestGenDataset:
         with pytest.raises(SystemExit) as exc:
             main(["gen-dataset", NET, "--count", "0", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    def test_workers_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-dataset", NET, "--count", "1", "--workers", "1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
 
 
 class TestWep:

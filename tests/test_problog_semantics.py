@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import netgen
+from bayesqa import inference
 from bayesqa.errors import (
     EnumerationBoundExceeded,
     UnstratifiedNegation,
+    UnsupportedFragment,
     ZeroProbabilityEvidence,
 )
-from bayesqa.problog import enumerate_worlds, evaluate, parse
+from bayesqa.problog import enumerate_worlds, evaluate, parse, semantics
 from bayesqa.problog.syntax import Atom
-from conftest import GALLSTONE_ANSWER, GALLSTONE_TEXT
+from conftest import GALLSTONE_ANSWER, GALLSTONE_TEXT, WIDE_PROGRAM_TEXT
 
 AMYLASE_HIGH = Atom("amylase", ("patient", "500-1400"))
 
@@ -161,26 +163,45 @@ class TestEnumerateWorlds:
             enumerate_worlds(parse(text))
         assert str(err.value) == message
 
-    def test_choice_bound(self):
+    def test_choice_bound(self, monkeypatch):
         many = "\n".join(f"0.5::f{i}." for i in range(21)) + "\nquery(f0)."
-        with pytest.raises(EnumerationBoundExceeded, match="21"):
+        with pytest.raises(EnumerationBoundExceeded) as err:
             enumerate_worlds(parse(many))
+        assert str(err.value) == "program has 2097152 possible worlds, more than the bound of 1048576"
         few = "\n".join(f"0.5::f{i}." for i in range(3)) + "\nquery(f0)."
-        with pytest.raises(EnumerationBoundExceeded):
-            enumerate_worlds(parse(few), max_choices=2)
-        assert enumerate_worlds(parse(few), max_choices=3)[Atom("f0", ())] == 0.5
+        monkeypatch.setattr(inference, "MAX_JOINT_STATES", 7)
+        with pytest.raises(EnumerationBoundExceeded) as err:
+            enumerate_worlds(parse(few))
+        assert str(err.value) == "program has 8 possible worlds, more than the bound of 7"
+        monkeypatch.setattr(inference, "MAX_JOINT_STATES", 8)
+        assert enumerate_worlds(parse(few))[Atom("f0", ())] == 0.5
 
-    def test_deterministic_clauses_are_free(self):
-        # facts with probability 0 or 1 leave a single alternative and do not
-        # count against the bound
+    def test_deterministic_clauses_are_free(self, monkeypatch):
+        # facts with probability 0 or 1 leave a single alternative and
+        # multiply the world count by 1
         text = "\n".join(f"1.0::t{i}." for i in range(15))
         text += "\n" + "\n".join(f"0.0::z{i}." for i in range(15))
         text += "\n" + "\n".join(f"0.5::f{i}." for i in range(5))
         text += "\nquery(t0).\nquery(z0).\nquery(f0)."
-        answers = enumerate_worlds(parse(text), max_choices=5)
+        monkeypatch.setattr(inference, "MAX_JOINT_STATES", 2**5)
+        answers = enumerate_worlds(parse(text))
         assert answers[Atom("t0", ())] == 1.0
         assert answers[Atom("z0", ())] == 0.0
         assert answers[Atom("f0", ())] == 0.5
+
+    def test_counts_worlds_not_choice_points(self, monkeypatch):
+        def walked(*_):
+            raise AssertionError("the enumerator visited a world")
+
+        monkeypatch.setattr(semantics, "_minimal_model", walked)
+        with pytest.raises(EnumerationBoundExceeded) as err:
+            enumerate_worlds(parse(WIDE_PROGRAM_TEXT))
+        assert str(err.value) == "program has 1594323 possible worlds, more than the bound of 1048576"
+
+    def test_head_mass_above_one(self):
+        with pytest.raises(UnsupportedFragment) as err:
+            enumerate_worlds(parse("0.7::a; 0.7::b.\nquery(a)."))
+        assert str(err.value) == "clause 1 (0.7::a; 0.7::b.): head probabilities sum to 1.4 > 1"
 
 
 class TestEngineAgreement:
