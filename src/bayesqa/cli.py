@@ -26,7 +26,7 @@ from . import metrics as mt
 from . import netops
 from .errors import BayesqaError, NetworkFormatError
 from .inference import conditional_query, eliminate
-from .model import load_network, network_from_dict, network_to_json, read_input, validate
+from .model import load_network, network_from_dict, network_to_json, read_input, read_json, validate
 from .problog import (
     bn_to_problog,
     enumerate_worlds,
@@ -55,19 +55,11 @@ def _emit(args: argparse.Namespace, human: list[str], machine: object) -> None:
             print(line)
 
 
-def _binding(text: str, parser: argparse.ArgumentParser) -> tuple[str, str]:
+def _binding(text: str) -> tuple[str, str]:
     var, sep, state = text.partition("=")
     if not sep or not var or not state:
-        parser.error(f"expected VARIABLE=STATE, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected VARIABLE=STATE, got {text!r}")
     return var, state
-
-
-def _load_json(path: str) -> object:
-    text = read_input(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -83,8 +75,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    doc = _load_json(args.network)
-    net = network_from_dict(doc, renormalize=args.renormalize, check=False)
+    net = network_from_dict(read_json(args.network), renormalize=args.renormalize, check=False)
     problems = validate(net)
     human = (
         [f"OK: {net.name} ({len(net.variables)} variables)"]
@@ -249,19 +240,17 @@ def _report_lines(report: mt.MetricsReport, args: argparse.Namespace) -> list[st
     return out
 
 
-def _bucket_edges(text: str | None, parser: argparse.ArgumentParser) -> list[int] | None:
-    if text is None:
-        return None
+def _bucket_edges(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        parser.error(f"--buckets expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     instances = ds.load_dataset(args.dataset)
     predictions = mt.load_predictions(args.predictions)
-    report = mt.score(instances, predictions, bucket_edges=args.bucket_edges)
+    report = mt.score(instances, predictions, bucket_edges=args.buckets)
     _emit(args, _report_lines(report, args), mt.report_to_dict(report))
     return 0
 
@@ -271,7 +260,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     predictions = mt.baseline_predictions(instances, value=args.value)
     if args.out:
         mt.save_predictions(predictions, args.out)
-    report = mt.score(instances, predictions, bucket_edges=args.bucket_edges)
+    report = mt.score(instances, predictions, bucket_edges=args.buckets)
     _emit(args, _report_lines(report, args), mt.report_to_dict(report))
     return 0
 
@@ -328,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("infer", cmd_infer, "conditional query against a network")
     p.add_argument("network")
-    p.add_argument("--query", required=True, metavar="VAR=STATE")
-    p.add_argument("--evidence", action="append", default=[], metavar="VAR=STATE")
+    p.add_argument("--query", type=_binding, required=True, metavar="VAR=STATE")
+    p.add_argument("--evidence", type=_binding, action="append", default=[], metavar="VAR=STATE")
     p.add_argument("--method", choices=("enumeration", "elimination"), default="enumeration")
 
     p = add("solve", cmd_solve, "answer the queries of a program file")
@@ -374,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("score", cmd_score, "score predictions against dataset golds")
     p.add_argument("dataset")
     p.add_argument("predictions")
-    p.add_argument("--buckets", default=None, help="premise-count bucket edges, e.g. 5,10,20")
+    p.add_argument("--buckets", type=_bucket_edges, default=None, help="premise-count bucket edges, e.g. 5,10,20")
 
     p = add("baseline", cmd_baseline, "score the constant-0.5 baseline")
     p.add_argument("dataset")
     p.add_argument("--value", type=float, default=0.5)
     p.add_argument("-o", "--out", default=None, help="also write the predictions here")
-    p.add_argument("--buckets", default=None)
+    p.add_argument("--buckets", type=_bucket_edges, default=None)
 
     p = add("stats", cmd_stats, "corpus statistics for network files (+ optional dataset)")
     p.add_argument("networks", nargs="+")
@@ -397,10 +386,10 @@ def main(argv: list[str] | None = None) -> int:
     args.precision = getattr(args, "precision", DEFAULT_PRECISION)
 
     if args.command == "infer":
-        args.query = _binding(args.query, parser)
-        args.evidence = [_binding(e, parser) for e in args.evidence]
-    if args.command in ("score", "baseline"):
-        args.bucket_edges = _bucket_edges(args.buckets, parser)
+        evidence_vars = [var for var, _ in args.evidence]
+        for var in evidence_vars:
+            if evidence_vars.count(var) > 1:
+                parser.error(f"--evidence names variable {var!r} more than once")
     if args.command == "gen-dataset" and args.count <= 0:
         parser.error("--count must be positive")
     if args.command == "wep" and args.prob is not None and not 0.0 <= args.prob <= 1.0:
@@ -408,11 +397,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except BayesqaError as exc:
+    except (BayesqaError, OSError, ValueError) as exc:  # OSError: writing an output file
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: ValueError: {exc}", file=sys.stderr)
         return 1
 
 

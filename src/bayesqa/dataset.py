@@ -35,14 +35,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NetworkFormatError, UnsatisfiableEvidence, ZeroProbabilityEvidence
+from .errors import NetworkFormatError, QueryEvidenceOverlap, UnsatisfiableEvidence, ZeroProbabilityEvidence
 from .inference import CompiledNetwork, compile_network, eliminate
 from .model import (
     BayesianNetwork,
     children,
     parent_assignments,
     parents,
-    read_input,
+    read_records,
     topological_order,
     validate,
 )
@@ -274,10 +274,15 @@ def classify_reasoning(
     *explaining_away* if an observed child of the query has another observed
     parent. Primary type is the most specific present
     (explaining_away > evidential > causal); "none" if no direct relation.
+    Unknown variables and a query among the evidence are refused.
     """
 
     ev = set(evidence_vars)
     qparents = set(parents(network, query_var))
+    for var in sorted(ev):
+        network.states(var)  # an unknown variable fails here, as in the engines
+    if query_var in ev:
+        raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
     qchildren = set(children(network, query_var))
 
     found = set()
@@ -487,13 +492,13 @@ def instance_to_dict(instance: DatasetInstance) -> dict:
 
 def instance_from_dict(doc: dict) -> DatasetInstance:
     return DatasetInstance(
-        id=doc["id"],
-        network=doc["network"],
+        id=str(doc["id"]),
+        network=str(doc["network"]),
         premises=tuple(
             Premise(
                 kind=p["kind"],
                 text=p["text"],
-                clause_ref=p["clause_ref"],
+                clause_ref=int(p["clause_ref"]),
                 variable=p["variable"],
                 parent_assignment=tuple(sorted(p["given"].items())),
             )
@@ -507,7 +512,7 @@ def instance_from_dict(doc: dict) -> DatasetInstance:
         ),
         gold=float(doc["gold"]),
         reasoning_types=tuple(doc["reasoning_types"]),
-        primary_type=doc["primary_type"],
+        primary_type=str(doc["primary_type"]),
         seed=int(doc["seed"]),
         index=int(doc["index"]),
     )
@@ -536,15 +541,7 @@ def save_dataset(instances: Sequence[DatasetInstance], path: str | Path) -> None
 
 
 def load_dataset(path: str | Path) -> list[DatasetInstance]:
-    out = []
-    for i, line in enumerate(read_input(path).splitlines()):
-        if not line.strip():
-            continue
-        try:
-            out.append(instance_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise NetworkFormatError(f"{path}:{i + 1}: bad dataset record ({exc})") from None
-    return out
+    return read_records(path, instance_from_dict, "dataset")
 
 
 def filter_premises(instance: DatasetInstance, kinds: Iterable[str]) -> DatasetInstance:

@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import NetworkFormatError, PredictionMismatch
+from .errors import PredictionMismatch
 from .dataset import DatasetInstance
-from .model import read_input
+from .model import read_records
 
 RELATIVE_TOLERANCE = 1e-4
 ABSOLUTE_FLOOR = 1e-9
@@ -187,24 +187,15 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def _prediction_from_dict(doc: dict) -> Prediction:
+    if "error" in doc:
+        return Prediction(id=str(doc["id"]), error=str(doc["error"]))
+    value = doc.get("value")
+    return Prediction(id=str(doc["id"]), value=float(value) if value is not None else None)
+
+
 def load_predictions(path: str | Path) -> list[Prediction]:
-    out = []
-    for i, line in enumerate(read_input(path).splitlines()):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-            pid = doc["id"]
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise NetworkFormatError(f"{path}:{i + 1}: bad prediction record ({exc})") from None
-        if "error" in doc:
-            out.append(Prediction(id=pid, error=str(doc["error"])))
-        else:
-            value = doc.get("value")
-            out.append(
-                Prediction(id=pid, value=float(value) if value is not None else None)
-            )
-    return out
+    return read_records(path, _prediction_from_dict, "prediction")
 
 
 def report_to_dict(report: MetricsReport) -> dict:

@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import NetworkFormatError, UnknownState, UnknownVariable
 
@@ -382,8 +382,8 @@ def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = T
             if not isinstance(row, dict) or "p" not in row:
                 raise NetworkFormatError(f"cpt[{vid}]: row records need 'given' and 'p'")
             given = row.get("given", {})
-            if not isinstance(given, dict):
-                raise NetworkFormatError(f"cpt[{vid}]: 'given' must be an object")
+            if not isinstance(given, dict) or any(not isinstance(s, str) for s in given.values()):
+                raise NetworkFormatError(f"cpt[{vid}]: 'given' must be an object of state names")
             if set(given) != set(parent_ids):
                 raise NetworkFormatError(
                     f"cpt[{vid}]: row condition names {sorted(given)} but parents are {parent_ids}"
@@ -392,7 +392,9 @@ def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = T
             if key in rows:
                 raise NetworkFormatError(f"cpt[{vid}]: duplicate row for {_row_label(tuple(parent_ids), key)}")
             dist = row["p"]
-            if not isinstance(dist, list) or any(not isinstance(p, (int, float)) for p in dist):
+            if not isinstance(dist, list) or any(
+                isinstance(p, bool) or not isinstance(p, (int, float)) for p in dist
+            ):
                 raise NetworkFormatError(f"cpt[{vid}]: 'p' must be a list of numbers")
             values = tuple(float(p) for p in dist)
             if renormalize:
@@ -412,23 +414,47 @@ def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = T
 
 
 def read_input(path: str | Path) -> str:
-    """Read a UTF-8 input file; a missing file is a :class:`NetworkFormatError`."""
+    """Read a UTF-8 input file; any failure is a :class:`NetworkFormatError`."""
 
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise NetworkFormatError(f"{path}: no such file") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise NetworkFormatError(f"{path}: cannot read ({exc})") from None
+
+
+def read_json(path: str | Path) -> object:
+    """Read and decode a JSON input file."""
+
+    try:
+        return json.loads(read_input(path))
+    except json.JSONDecodeError as exc:
+        raise NetworkFormatError(f"{path}: not valid JSON ({exc})") from None
+
+
+def read_records(path: str | Path, decode: Callable[[dict], object], what: str) -> list:
+    """Decode a JSON Lines file, one object per nonblank line, each through ``decode``."""
+
+    out = []
+    # "\n" only: text written with ensure_ascii=False keeps U+2028 and U+0085 raw
+    for i, line in enumerate(read_input(path).split("\n")):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+            out.append(decode(doc))
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise NetworkFormatError(f"{path}:{i + 1}: bad {what} record ({exc})") from None
+    return out
 
 
 def load_network(path: str | Path) -> BayesianNetwork:
     """Load and validate a network file; see :func:`network_from_dict`."""
 
-    text = read_input(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: not valid JSON ({exc})") from None
-    return network_from_dict(doc)
+    return network_from_dict(read_json(path))
 
 
 def save_network(network: BayesianNetwork, path: str | Path) -> None:

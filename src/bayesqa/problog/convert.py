@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..errors import UnknownClause, UnrepresentableName, UnsupportedFragment
+from ..errors import NetworkFormatError, UnknownClause, UnrepresentableName, UnsupportedFragment
 from ..model import (
     BayesianNetwork,
     Cpt,
@@ -35,7 +35,6 @@ from ..model import (
     parent_assignments,
     state_index,
     topological_order,
-    validate,
 )
 from .syntax import (
     BARE_CONSTANT,
@@ -249,11 +248,11 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
     for key, vid in ids.items():
         net.cpts[vid] = _partition(net, vid, clause_rows[key])
 
-    problems = validate(net)
-    if problems:
-        raise UnsupportedFragment(
-            "program does not encode a valid network: " + "; ".join(str(p) for p in problems[:5])
-        )
+    # the passes above enforce every other invariant of model.validate
+    try:
+        topological_order(net)
+    except NetworkFormatError as exc:
+        raise UnsupportedFragment(f"program does not encode a valid network: [cycle] network: {exc}") from None
     return compiled
 
 

@@ -119,6 +119,57 @@ class TestValidate:
         assert "no such file" in err
 
 
+class TestInputErrors:
+    """Every input file is read by one reader: a directory, a record that is
+    not a JSON object and a field of the wrong type each end in one `error:`
+    line and exit 1 (an uncaught exception would fail the test)."""
+
+    COMMANDS = {
+        "validate": ("network", ["validate", "{bad}"]),
+        "infer": ("network", ["infer", "{bad}", "--query", "gallstones=true"]),
+        "solve": ("program", ["solve", "{bad}"]),
+        "score-dataset": ("dataset", ["score", "{bad}", "{predictions}"]),
+        "score-predictions": ("predictions", ["score", "{dataset}", "{bad}"]),
+        "baseline": ("dataset", ["baseline", "{bad}"]),
+        "stats": ("network", ["stats", "{bad}"]),
+        "stats-dataset": ("dataset", ["stats", NET, "--dataset", "{bad}"]),
+    }
+
+    @pytest.mark.parametrize("kind", ["directory", "not-object", "wrong-type"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_input_exits_1(self, capsys, tmp_path, gallstone_net, command, kind):
+        instances = generate_dataset(gallstone_net, 2, seed=3)
+        paths = {"dataset": tmp_path / "dataset.jsonl", "predictions": tmp_path / "predictions.jsonl"}
+        save_dataset(instances, paths["dataset"])
+        save_predictions([Prediction(i.id, 0.5) for i in instances], paths["predictions"])
+        network = json.loads(Path(NET).read_text(encoding="utf-8"))
+        network["variables"][0]["states"] = "tf"
+        wrong_type = {
+            "network": json.dumps(network),
+            "program": "0.5::a.\nevidence(a, 0.5).\n",
+            "dataset": json.dumps({**instance_to_dict(instances[0]), "premises": 5}) + "\n",
+            "predictions": '{"id": "x", "value": "high"}\n',
+        }
+        what, argv = self.COMMANDS[command]
+        paths["bad"] = tmp_path / "bad"
+        if kind == "directory":
+            paths["bad"].mkdir()
+        else:
+            paths["bad"].write_text("[1]\n" if kind == "not-object" else wrong_type[what], encoding="utf-8")
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_record_errors_name_the_line(self, capsys, tmp_path, gallstone_net):
+        instances = generate_dataset(gallstone_net, 2, seed=3)
+        save_dataset(instances, tmp_path / "dataset.jsonl")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "%s", "value": 0.5}\n\n[1]\n' % instances[0].id, encoding="utf-8")
+        code, _, err = run(capsys, "score", str(tmp_path / "dataset.jsonl"), str(bad))
+        assert code == 1
+        assert err == f"error: NetworkFormatError: {bad}:3: bad prediction record (expected a JSON object, got list)\n"
+
+
 class TestInfer:
     def test_reference_query(self, capsys):
         code, out, _ = run(
@@ -151,6 +202,15 @@ class TestInfer:
             main(["infer", NET, "--query", "amylase"])
         assert exc.value.code == 2
         assert "expected VARIABLE=STATE" in capsys.readouterr().err
+
+    def test_repeated_evidence_variable_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "infer", NET, "--query", "gallstones=true",
+                "--evidence", "flatulence=true", "--evidence", "flatulence=false",
+            ])
+        assert exc.value.code == 2
+        assert "--evidence names variable 'flatulence' more than once" in capsys.readouterr().err
 
     def test_unknown_variable_is_domain_error(self, capsys):
         code, _, err = run(capsys, "infer", NET, "--query", "bile=true")
@@ -246,6 +306,11 @@ class TestTranslation:
             )
         )
         assert set(text.strip().split("\n\n")) == set(reference.strip().split("\n\n"))
+
+    def test_to_problog_into_missing_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "to-problog", NET, "-o", str(tmp_path / "missing" / "x.pl"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: FileNotFoundError: ")
 
     def test_to_problog_stdout_and_entity(self, capsys):
         code, out, _ = run(capsys, "to-problog", NET, "--entity", "subject")
@@ -380,6 +445,14 @@ class TestGenDataset:
         assert programs == ["gallstone-0000.pl", "gallstone-0001.pl", "gallstone-0002.pl"]
         assert sorted(p.name for p in out.glob("*.pl")) == sorted(programs + unrelated)
 
+    def test_out_is_an_existing_file(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n", encoding="utf-8")
+        code, out, err = run(capsys, "gen-dataset", NET, "--count", "1", "--out", str(taken))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: FileExistsError: ")
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
     def test_count_must_be_positive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen-dataset", NET, "--count", "0", "--out", str(tmp_path / "x")])
@@ -441,6 +514,19 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", sprinkler_file, "--query", "rain")
         assert code == 0
         assert out == "types: (none)\nprimary: none\n"
+
+    @pytest.mark.parametrize(
+        "evidence, message",
+        [
+            ("nosuchvar", "UnknownVariable: unknown variable 'nosuchvar'"),
+            ("rain", "QueryEvidenceOverlap: query variable 'rain' also appears in evidence"),
+        ],
+        ids=["unknown", "overlap"],
+    )
+    def test_bad_evidence_is_domain_error(self, capsys, sprinkler_file, evidence, message):
+        code, out, err = run(capsys, "classify", sprinkler_file, "--query", "rain", "--evidence", evidence)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
 
 
 class TestScoreAndBaseline:

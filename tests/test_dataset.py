@@ -308,6 +308,21 @@ class TestDatasetFiles:
         want = [json.dumps(instance_to_dict(inst), ensure_ascii=False) for inst in insts]
         assert path.read_text(encoding="utf-8").splitlines() == want
 
+    def test_round_trip_with_unicode_line_separators_in_names(self, tmp_path):
+        # json.dumps(..., ensure_ascii=False) writes these characters raw
+        x, y = "x\u0085", "y\u2029"
+        net = make_network(
+            "n\u2028",
+            {
+                "a": ((x, y), (), {(): (0.3, 0.7)}),
+                "b": (("t", "f"), ("a",), {(x,): (0.2, 0.8), (y,): (0.6, 0.4)}),
+            },
+        )
+        insts = generate_dataset(net, 4, seed=5)
+        path = tmp_path / "d.jsonl"
+        save_dataset(insts, path)
+        assert load_dataset(path) == insts
+
     def test_load_rejects_bad_records(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "x"}\n', encoding="utf-8")

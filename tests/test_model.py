@@ -251,6 +251,36 @@ class TestFileFormat:
         with pytest.raises(NetworkFormatError, match="list of numbers"):
             network_from_dict(bad)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ({"given": {}, "p": [True, False]}, "'p' must be a list of numbers"),
+            ({"given": {}, "p": [1, False]}, "'p' must be a list of numbers"),
+            ({"given": {"a": ["t"]}, "p": [0.5, 0.5]}, "'given' must be an object of state names"),
+            ({"given": {"a": 1}, "p": [0.5, 0.5]}, "'given' must be an object of state names"),
+        ],
+        ids=["bools", "int-and-bool", "list-state", "int-state"],
+    )
+    def test_mistyped_row_fields(self, row, message):
+        doc = {
+            "name": "tiny",
+            "variables": [{"id": "a", "states": ["t", "f"]}, {"id": "b", "states": ["t", "f"]}],
+            "cpts": [
+                {"variable": "a", "parents": [], "rows": [{"given": {}, "p": [0.5, 0.5]}]},
+                {"variable": "b", "parents": ["a"] if row["given"] else [], "rows": [row]},
+            ],
+        }
+        with pytest.raises(NetworkFormatError, match=f"^cpt\\[b\\]: {message}$"):
+            network_from_dict(doc)
+
+    def test_unreadable_input(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        with pytest.raises(NetworkFormatError, match="latin1.json: cannot read \\(.*can't decode byte 0xe9"):
+            load_network(path)
+        with pytest.raises(NetworkFormatError, match="cannot read"):
+            load_network(tmp_path)
+
     def test_renormalize(self):
         doc = {
             "format": "bayesqa-network/1",

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import netgen
 from bayesqa.errors import UnknownClause, UnrepresentableName, UnsupportedFragment
-from bayesqa.model import make_network, network_to_dict
+from bayesqa.model import make_network, network_to_dict, validate
 from bayesqa.problog import Atom, bn_to_problog, parse, problog_to_bn, serialize
 from bayesqa.problog.convert import atom_for, compile_program
+from bayesqa.problog.syntax import Clause, Literal, ProbHead, ProblogProgram
 from conftest import GALLSTONE_TEXT
 
 
@@ -153,6 +156,85 @@ class TestFragmentRejection:
         text = "0.5::x(e,a); 0.5::x(e,b).\n0.5::y(e) :- x(e,c).\n0.5::y(e) :- not x(e,c)."
         with pytest.raises(UnknownClause, match=r"^atom x\(e,c\) in clause 2 names undefined state 'c'$"):
             problog_to_bn(parse(text))
+
+
+class TestValidateIsTheOracle:
+    """compile_program enforces the network invariants in its own passes and
+    checks only acyclicity at the end; model.validate must find nothing
+    wrong with any network it returns."""
+
+    @staticmethod
+    def _mutate(rng, program: ProblogProgram) -> ProblogProgram:
+        clauses = list(program.clauses)
+        i = int(rng.integers(len(clauses)))
+        clause = clauses[i]
+        heads = [h.atom for c in clauses for h in c.heads]
+        kind = int(rng.integers(5))
+        if kind == 0:  # perturb the first head
+            first = ProbHead(round(float(rng.random()), 6), clause.heads[0].atom)
+            clauses[i] = Clause((first,) + clause.heads[1:], clause.body)
+        elif kind == 1 and len(clauses) > 1:
+            del clauses[i]
+        elif kind == 2:
+            clauses.insert(i, clause)
+        elif kind == 3 or not clause.body:  # add a body literal
+            atom = heads[int(rng.integers(len(heads)))]
+            clauses[i] = Clause(clause.heads, clause.body + (Literal(atom, bool(rng.integers(2))),))
+        else:  # flip a body literal
+            j = int(rng.integers(len(clause.body)))
+            lit = clause.body[j]
+            body = clause.body[:j] + (Literal(lit.atom, not lit.negated),) + clause.body[j + 1 :]
+            clauses[i] = Clause(clause.heads, body)
+        return ProblogProgram(tuple(clauses), program.evidence, program.queries)
+
+    @staticmethod
+    def _with_cycle(net, program: ProblogProgram, same_literal: bool) -> ProblogProgram:
+        """Make a child a parent of its own parent: every clause of the parent
+        gets one literal of the child, either the same literal on every
+        clause (a coverage gap) or one copy per child state (a full grid)."""
+
+        child = next(v for v in sorted(net.cpts) if net.cpts[v].parents)
+        parent = net.cpts[child].parents[0]
+        literals = [Literal(atom, not positive) for atom, positive in (
+            atom_for(net, child, s) for s in net.states(child)
+        )]
+        if same_literal:
+            literals = literals[:1]
+        owners = compile_program(program).atoms
+        clauses = []
+        for clause in program.clauses:
+            if owners[clause.heads[0].atom][0] != parent:
+                clauses.append(clause)
+                continue
+            clauses.extend(Clause(clause.heads, clause.body + (lit,)) for lit in literals)
+        return ProblogProgram(tuple(clauses), program.evidence, program.queries)
+
+    def test_compiled_networks_pass_validate(self):
+        rng = np.random.default_rng(2024)
+        outcomes = Counter()
+        for i in range(600):
+            net = netgen.random_network(rng, name=f"or{i}", max_vars=6)
+            program = bn_to_problog(net)
+            variants = [program, self._mutate(rng, program)]
+            if any(cpt.parents for cpt in net.cpts.values()):
+                variants += [self._with_cycle(net, program, same) for same in (True, False)]
+            for k, variant in enumerate(variants):
+                try:
+                    compiled = compile_program(variant)
+                except (UnsupportedFragment, UnknownClause) as exc:
+                    outcomes[k, type(exc).__name__] += 1
+                    if k == 3:
+                        assert str(exc).startswith(
+                            "program does not encode a valid network: [cycle] network: "
+                            "network contains a cycle involving: "
+                        )
+                    continue
+                assert k not in (2, 3)
+                assert validate(compiled.network) == []
+                outcomes[k, "ok"] += 1
+        # variants: 0 plain, 1 mutated, 2 a cycle with a coverage gap, 3 a cycle
+        assert outcomes[0, "ok"] == 600 and outcomes[1, "ok"] >= 50, outcomes
+        assert outcomes[2, "UnsupportedFragment"] == outcomes[3, "UnsupportedFragment"] >= 300, outcomes
 
 
 class TestParentGrid:
