@@ -75,7 +75,11 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    net = network_from_dict(read_json(args.network), renormalize=args.renormalize, check=False)
+    doc = read_json(args.network)
+    try:
+        net = network_from_dict(doc, renormalize=args.renormalize, check=False)
+    except NetworkFormatError as exc:  # as load_network does, name the file
+        raise NetworkFormatError(f"{args.network}: {exc}") from None
     problems = validate(net)
     human = (
         [f"OK: {net.name} ({len(net.variables)} variables)"]

@@ -4,9 +4,9 @@ reasoning-type labels, and gold probabilities.
 Every CPT row of a network becomes one *premise* in two renderings that share
 a ``clause_ref``: numeric ("If gallstones is yes, then the probability of
 flatulence being yes is 39.25%, ...") and verbal, using estimative-probability
-phrases. Each *instance* samples evidence over a strict subset of variables
-plus one query about a remaining variable; the gold answer is exact
-conditional inference on the network.
+phrases; one pass over the rows renders both. Each *instance* samples
+evidence over a strict subset of variables plus one query about a remaining
+variable; the gold answer is exact conditional inference on the network.
 
 Determinism contract: ``generate_dataset(network, count, seed)`` is a pure
 function of its arguments. Randomness comes from per-purpose
@@ -45,6 +45,7 @@ from .model import (
     read_records,
     topological_order,
     validate,
+    write_records,
 )
 from .problog.convert import atom_for, bn_to_problog
 from .problog.syntax import (
@@ -146,25 +147,20 @@ def _hedge_clause(phrase: str, clause: str) -> str:
 
 def template_premises(
     network: BayesianNetwork,
-    kind: str,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     second_closest_prob: float = 0.1,
 ) -> list[Premise]:
-    """One premise per CPT row, in canonical row order.
+    """Both premises of every CPT row, in canonical row order.
 
-    ``kind`` is ``"numeric"`` (probabilities as percentages) or ``"wep"``
-    (estimative-probability phrases; requires ``rng``). ``clause_ref`` is the
-    row's index in canonical order, identical for both kinds.
+    One walk over the rows renders each row as a numeric premise
+    (probabilities as percentages) and a verbal one (estimative-probability
+    phrases drawn from ``rng``); both carry the row's index in canonical order
+    as ``clause_ref``. Returns every numeric premise, then every verbal one.
     """
 
-    if kind not in ("numeric", "wep"):
-        raise ValueError(f"unknown premise kind {kind!r}")
-    if kind == "wep" and rng is None:
-        raise ValueError("wep premises need an rng")
-
-    out: list[Premise] = []
-    ref = 0
+    numeric: list[Premise] = []
+    verbal: list[Premise] = []
     for vid in topological_order(network):
         var = network.variables[vid]
         cpt = network.cpts[vid]
@@ -172,40 +168,30 @@ def template_premises(
             conditions = " and ".join(
                 f"{network.variables[p].name} is {s}" for p, s in zip(cpt.parents, key)
             )
+            given = tuple(sorted(zip(cpt.parents, key)))
             dist = cpt.rows[key]
-            if kind == "numeric":
-                parts = [
-                    f"the probability of {var.name} being {s} is {_percent(p)}"
-                    for s, p in zip(var.states, dist)
-                ]
-                consequent = _join_clauses(parts)
+            parts = [
+                f"the probability of {var.name} being {s} is {_percent(p)}"
+                for s, p in zip(var.states, dist)
+            ]
+            text = _sentence(conditions, _join_clauses(parts))
+            # a list's length before the append is the row's index: its clause_ref
+            numeric.append(Premise("numeric", text, len(numeric), vid, given))
+
+            rendered = verbalize_distribution(dist, rng, second_closest_prob=second_closest_prob)
+            if rendered.phrases is None:
+                text = _sentence(conditions, f"the states of {var.name} are all equally likely")
             else:
-                rendered = verbalize_distribution(
-                    dist, rng, second_closest_prob=second_closest_prob
-                )
-                if rendered.equally_likely:
-                    consequent = f"the states of {var.name} are all equally likely"
-                else:
-                    parts = [
-                        _hedge_clause(phrase, f"{var.name} is {s}")
-                        for s, phrase in zip(var.states, rendered.phrases)
-                    ]
-                    consequent = _join_clauses(parts)
-            text = _sentence(conditions, consequent)
-            if kind == "wep" and not rendered.equally_likely and rendered.argmax_states:
-                top = " or ".join(var.states[i] for i in rendered.argmax_states)
-                text += f" The most likely state of {var.name} is {top}."
-            out.append(
-                Premise(
-                    kind=kind,
-                    text=text,
-                    clause_ref=ref,
-                    variable=vid,
-                    parent_assignment=tuple(sorted(zip(cpt.parents, key))),
-                )
-            )
-            ref += 1
-    return out
+                parts = [
+                    _hedge_clause(phrase, f"{var.name} is {s}")
+                    for s, phrase in zip(var.states, rendered.phrases)
+                ]
+                text = _sentence(conditions, _join_clauses(parts))
+                if rendered.argmax_states:
+                    top = " or ".join(var.states[i] for i in rendered.argmax_states)
+                    text += f" The most likely state of {var.name} is {top}."
+            verbal.append(Premise("wep", text, len(verbal), vid, given))
+    return numeric + verbal
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +326,7 @@ def generate_dataset(
     premise_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(0, stream))
     )
-    numeric = template_premises(network, "numeric")
-    verbal = template_premises(
-        network, "wep", premise_rng, second_closest_prob=second_closest_prob
-    )
-    premises = tuple(numeric + verbal)
+    premises = tuple(template_premises(network, premise_rng, second_closest_prob=second_closest_prob))
     form = compile_network(network)
 
     def build(i: int) -> DatasetInstance:
@@ -537,7 +519,7 @@ def save_dataset(instances: Sequence[DatasetInstance], path: str | Path) -> None
         # In JSON text a quote followed by `premises": ` opens a key, and the
         # only key of that name in a record without premises is the top one.
         lines.append(line.replace('"premises": []', f'"premises": {block}', 1))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_records(path, lines)
 
 
 def load_dataset(path: str | Path) -> list[DatasetInstance]:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import PredictionMismatch
 from .dataset import DatasetInstance
-from .model import read_records
+from .model import read_records, write_records
 
 RELATIVE_TOLERANCE = 1e-4
 ABSOLUTE_FLOOR = 1e-9
@@ -171,7 +171,7 @@ def baseline_predictions(
 
 
 # ---------------------------------------------------------------------------
-# prediction files (JSON Lines: {"id": ..., "value": ...} or {"id", "error"})
+# prediction files (JSON Lines: {"id": ..., "value": number or null} or {"id", "error"})
 # ---------------------------------------------------------------------------
 
 
@@ -184,13 +184,15 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
         else:
             rec["value"] = pred.value
         lines.append(json.dumps(rec, ensure_ascii=False))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_records(path, lines)
 
 
 def _prediction_from_dict(doc: dict) -> Prediction:
     if "error" in doc:
         return Prediction(id=str(doc["id"]), error=str(doc["error"]))
     value = doc.get("value")
+    if value is not None and type(value) not in (int, float):  # a JSON true is a bool, not an int
+        raise TypeError(f"value must be a number or null, got {json.dumps(value)}")
     return Prediction(id=str(doc["id"]), value=float(value) if value is not None else None)
 
 

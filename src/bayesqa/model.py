@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import NetworkFormatError, UnknownState, UnknownVariable
 
@@ -451,10 +451,21 @@ def read_records(path: str | Path, decode: Callable[[dict], object], what: str) 
     return out
 
 
-def load_network(path: str | Path) -> BayesianNetwork:
-    """Load and validate a network file; see :func:`network_from_dict`."""
+def write_records(path: str | Path, lines: Sequence[str]) -> None:
+    """Write JSON Lines for :func:`read_records`: each line is one record's
+    ``json.dumps(..., ensure_ascii=False)`` text; no lines make an empty file."""
 
-    return network_from_dict(read_json(path))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def load_network(path: str | Path) -> BayesianNetwork:
+    """Load and validate a network file (see :func:`network_from_dict`); errors name the file."""
+
+    doc = read_json(path)
+    try:
+        return network_from_dict(doc)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
 
 
 def save_network(network: BayesianNetwork, path: str | Path) -> None:

@@ -189,16 +189,15 @@ def prob_to_wep(
 class VerbalizedDistribution:
     """Phrase rendering of one distribution.
 
-    ``phrases`` lines up with the input states; it is None when the
+    ``phrases`` lines up with the input states; it is None exactly when the
     distribution is uniform and the whole row should read "all equally
     likely". ``argmax_states`` names the most-probable state indices whenever
     the top probability's closest anchor sits at or below 0.25 — i.e. when
     every phrase in the row reads "low", the note says which state still
-    dominates.
+    dominates; it is None for a uniform row.
     """
 
     phrases: tuple[str, ...] | None
-    equally_likely: bool
     argmax_states: tuple[int, ...] | None
 
 
@@ -228,7 +227,7 @@ def verbalize_distribution(
     if any(not 0.0 <= p <= 1.0 for p in probs):
         raise ValueError(f"distribution entries outside [0, 1]: {probs!r}")
     if max(probs) - min(probs) <= _TIE_EPS:
-        return VerbalizedDistribution(phrases=None, equally_likely=True, argmax_states=None)
+        return VerbalizedDistribution(phrases=None, argmax_states=None)
 
     phrases = tuple(
         prob_to_wep(p, rng, second_closest_prob=second_closest_prob).phrase for p in probs
@@ -236,4 +235,4 @@ def verbalize_distribution(
     top = max(probs)
     argmax = tuple(i for i, p in enumerate(probs) if p >= top - _TIE_EPS)
     note = argmax if _primary_anchor(top) <= 0.25 else None
-    return VerbalizedDistribution(phrases=phrases, equally_likely=False, argmax_states=note)
+    return VerbalizedDistribution(phrases=phrases, argmax_states=note)

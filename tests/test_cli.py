@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -168,6 +169,47 @@ class TestInputErrors:
         code, _, err = run(capsys, "score", str(tmp_path / "dataset.jsonl"), str(bad))
         assert code == 1
         assert err == f"error: NetworkFormatError: {bad}:3: bad prediction record (expected a JSON object, got list)\n"
+
+    @pytest.mark.parametrize("value", ["true", '"0.25"'])
+    def test_prediction_value_must_be_a_number(self, capsys, tmp_path, gallstone_net, value):
+        instances = generate_dataset(gallstone_net, 2, seed=3)
+        save_dataset(instances, tmp_path / "dataset.jsonl")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join('{"id": "%s", "value": %s}\n' % (i.id, value) for i in instances), encoding="utf-8")
+        code, out, err = run(capsys, "score", str(tmp_path / "dataset.jsonl"), str(bad))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: NetworkFormatError: {bad}:1: bad prediction record "
+            f"(value must be a number or null, got {value})\n"
+        )
+
+    NETWORK_FILES = {
+        "schema": ("[1]", "top level must be a JSON object"),
+        "invalid": ('{"name": "x", "variables": [{"id": "a", "states": ["t"]}], "cpts": []}', "invalid network: "),
+        "not-json": ("{nope", "not valid JSON"),
+    }
+    NETWORK_COMMANDS = {
+        "gen-dataset": ["gen-dataset", NET, "{bad}", "--count", "1", "--out", "{out}"],
+        "stats": ["stats", NET, "{bad}"],
+        "validate": ["validate", "{bad}"],
+        "infer": ["infer", "{bad}", "--query", "a=t"],
+    }
+
+    # validate reports the violations of a network that parses on stdout
+    @pytest.mark.parametrize(
+        "command, content",
+        [pair for pair in itertools.product(NETWORK_COMMANDS, NETWORK_FILES) if pair != ("validate", "invalid")],
+    )
+    def test_network_errors_name_the_file(self, capsys, tmp_path, command, content):
+        text, message = self.NETWORK_FILES[content]
+        bad = tmp_path / "one.json"
+        bad.write_text(text, encoding="utf-8")
+        argv = self.NETWORK_COMMANDS[command]
+        code, out, err = run(capsys, *(a.format(bad=bad, out=tmp_path / "out") for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: NetworkFormatError: {bad}: {message}"), err
+        assert err.count(str(bad)) == 1, err
+        assert not (tmp_path / "out").exists()
 
 
 class TestInfer:

@@ -13,6 +13,7 @@ from bayesqa import dataset, generate_dataset, make_network
 from bayesqa.dataset import (
     DatasetStats,
     NetworkEncoder,
+    Premise,
     classify_reasoning,
     dataset_stats,
     filter_premises,
@@ -24,7 +25,10 @@ from bayesqa.dataset import (
     sample_qe,
     save_dataset,
     template_premises,
+    _hedge_clause,
+    _join_clauses,
     _percent,
+    _sentence,
 )
 from bayesqa.errors import (
     NetworkFormatError,
@@ -33,7 +37,9 @@ from bayesqa.errors import (
     ZeroProbabilityEvidence,
 )
 from bayesqa.inference import compile_network, eliminate
+from bayesqa.model import parent_assignments, topological_order
 from bayesqa.problog import evaluate, serialize
+from bayesqa.wep import verbalize_distribution
 
 GALLSTONE_ROW0 = (
     "The probability of gallstones being true is 15.31%, and the probability "
@@ -46,9 +52,72 @@ GALLSTONE_ROW1 = (
 )
 
 
+def _kind(premises, kind):
+    return [p for p in premises if p.kind == kind]
+
+
+def _reference_premises(network, kind, rng=None, *, second_closest_prob=0.1):
+    """One kind of premise per CPT row, by its own walk over the rows, as
+    ``template_premises`` first rendered them: the oracle for the one pass."""
+
+    out = []
+    ref = 0
+    for vid in topological_order(network):
+        var = network.variables[vid]
+        cpt = network.cpts[vid]
+        for key in parent_assignments(network, vid):
+            conditions = " and ".join(
+                f"{network.variables[p].name} is {s}" for p, s in zip(cpt.parents, key)
+            )
+            dist = cpt.rows[key]
+            if kind == "numeric":
+                parts = [
+                    f"the probability of {var.name} being {s} is {_percent(p)}"
+                    for s, p in zip(var.states, dist)
+                ]
+                consequent = _join_clauses(parts)
+            else:
+                rendered = verbalize_distribution(dist, rng, second_closest_prob=second_closest_prob)
+                if rendered.phrases is None:
+                    consequent = f"the states of {var.name} are all equally likely"
+                else:
+                    parts = [
+                        _hedge_clause(phrase, f"{var.name} is {s}")
+                        for s, phrase in zip(var.states, rendered.phrases)
+                    ]
+                    consequent = _join_clauses(parts)
+            text = _sentence(conditions, consequent)
+            if kind == "wep" and rendered.phrases is not None and rendered.argmax_states:
+                top = " or ".join(var.states[i] for i in rendered.argmax_states)
+                text += f" The most likely state of {var.name} is {top}."
+            out.append(
+                Premise(
+                    kind=kind,
+                    text=text,
+                    clause_ref=ref,
+                    variable=vid,
+                    parent_assignment=tuple(sorted(zip(cpt.parents, key))),
+                )
+            )
+            ref += 1
+    return out
+
+
+UNIFORM_NET = make_network(
+    "u",
+    {"a": (("x", "y"), (), {(): (0.5, 0.5)}),
+     "b": (("x", "y"), ("a",), {("x",): (0.3, 0.7), ("y",): (0.6, 0.4)})},
+)
+LOW_NET = make_network(
+    "low",
+    {"a": (("s0", "s1", "s2", "s3"), (), {(): (0.2, 0.2, 0.3, 0.3)}),
+     "b": (("x", "y"), ("a",), {(s,): (0.5, 0.5) for s in ("s0", "s1", "s2", "s3")})},
+)
+
+
 class TestTemplatePremises:
     def test_one_premise_per_row_in_canonical_order(self, gallstone_net):
-        numeric = template_premises(gallstone_net, "numeric")
+        numeric = _kind(template_premises(gallstone_net, np.random.default_rng(0)), "numeric")
         assert len(numeric) == 5
         assert [p.clause_ref for p in numeric] == [0, 1, 2, 3, 4]
         # topological order with ties broken alphabetically: amylase before flatulence
@@ -58,45 +127,35 @@ class TestTemplatePremises:
         assert numeric[1].parent_assignment == (("gallstones", "true"),)
 
     def test_numeric_text(self, gallstone_net):
-        numeric = template_premises(gallstone_net, "numeric")
+        numeric = _kind(template_premises(gallstone_net, np.random.default_rng(0)), "numeric")
         assert numeric[0].text == GALLSTONE_ROW0
         assert numeric[1].text == GALLSTONE_ROW1
 
     def test_wep_text(self, gallstone_net):
         rng = np.random.default_rng(0)
-        verbal = template_premises(gallstone_net, "wep", rng, second_closest_prob=0.0)
+        verbal = _kind(template_premises(gallstone_net, rng, second_closest_prob=0.0), "wep")
         assert verbal[0].text == (
             "It is unlikely that gallstones is true, and there is a very good "
             "chance that gallstones is false."
         )
 
     def test_both_kinds_share_clause_refs(self, gallstone_net):
-        rng = np.random.default_rng(1)
-        numeric = template_premises(gallstone_net, "numeric")
-        verbal = template_premises(gallstone_net, "wep", rng)
+        premises = template_premises(gallstone_net, np.random.default_rng(1))
+        assert [p.kind for p in premises] == ["numeric"] * 5 + ["wep"] * 5
+        numeric, verbal = premises[:5], premises[5:]
         for a, b in zip(numeric, verbal):
             assert (a.clause_ref, a.variable, a.parent_assignment) == (
                 b.clause_ref, b.variable, b.parent_assignment,
             )
 
     def test_equally_likely_row(self):
-        net = make_network(
-            "u",
-            {"a": (("x", "y"), (), {(): (0.5, 0.5)}),
-             "b": (("x", "y"), ("a",), {("x",): (0.3, 0.7), ("y",): (0.6, 0.4)})},
-        )
         rng = np.random.default_rng(2)
-        verbal = template_premises(net, "wep", rng)
+        verbal = _kind(template_premises(UNIFORM_NET, rng), "wep")
         assert verbal[0].text == "The states of a are all equally likely."
 
     def test_argmax_note_when_all_phrases_read_low(self):
-        net = make_network(
-            "low",
-            {"a": (("s0", "s1", "s2", "s3"), (), {(): (0.2, 0.2, 0.3, 0.3)}),
-             "b": (("x", "y"), ("a",), {(s,): (0.5, 0.5) for s in ("s0", "s1", "s2", "s3")})},
-        )
         rng = np.random.default_rng(3)
-        verbal = template_premises(net, "wep", rng, second_closest_prob=0.0)
+        verbal = _kind(template_premises(LOW_NET, rng, second_closest_prob=0.0), "wep")
         assert verbal[0].text.endswith("The most likely state of a is s2 or s3.")
 
     def test_percent_rendering(self):
@@ -106,11 +165,24 @@ class TestTemplatePremises:
         assert _percent(0.000123456) == "0.0123%"
         assert _percent(0.0) == "0%"
 
-    def test_bad_arguments(self, gallstone_net):
-        with pytest.raises(ValueError, match="unknown premise kind"):
-            template_premises(gallstone_net, "prose")
-        with pytest.raises(ValueError, match="rng"):
-            template_premises(gallstone_net, "wep")
+    @pytest.mark.parametrize("second_closest_prob", [0.1, 0.0])
+    def test_one_pass_matches_the_two_walks(self, gallstone_net, second_closest_prob):
+        """Equal premises and an equal rng state after every network, against
+        a numeric walk followed by a verbal walk drawing from the same seed."""
+
+        gen = np.random.default_rng(1414)
+        nets = [gallstone_net, UNIFORM_NET, LOW_NET]
+        for i in range(200):
+            net = netgen.random_network(gen, name=f"p{i}")
+            nets.append(netgen.with_zeros(gen, net) if i % 2 else net)
+        for i, net in enumerate(nets):
+            one, two = np.random.default_rng(i), np.random.default_rng(i)
+            got = template_premises(net, one, second_closest_prob=second_closest_prob)
+            want = _reference_premises(net, "numeric") + _reference_premises(
+                net, "wep", two, second_closest_prob=second_closest_prob
+            )
+            assert got == want, net.name
+            assert one.bit_generator.state == two.bit_generator.state, net.name
 
 
 class TestSampleQe:

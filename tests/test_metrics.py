@@ -168,6 +168,24 @@ class TestPredictionFiles:
         with pytest.raises(NetworkFormatError, match="bad.jsonl:1"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("value", ["true", "false", '"0.25"', "[0.25]"])
+    def test_value_that_is_not_a_number_is_a_bad_record(self, tmp_path, value):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "value": %s}\n' % value, encoding="utf-8")
+        with pytest.raises(NetworkFormatError, match=r"bad.jsonl:1: bad prediction record \(value must be a number or null"):
+            load_predictions(path)
+
+    def test_number_and_null_values(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        path.write_text('{"id": "a", "value": 1}\n{"id": "b", "value": null}\n{"id": "c"}\n', encoding="utf-8")
+        preds = load_predictions(path)
+        assert preds == [Prediction("a", 1.0), Prediction("b"), Prediction("c")]
+        assert type(preds[0].value) is float
+        # null is a prediction without a value: it counts as an error
+        report = score([_inst("a", 1.0), _inst("b", 0.5), _inst("c", 0.5)], preds)
+        assert report.overall.pct_correct == pytest.approx(100 / 3)
+        assert report.overall.pct_error == pytest.approx(200 / 3)
+
 
 class TestReportDict:
     def test_shape(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -18,10 +19,12 @@ from bayesqa.model import (
     network_to_json,
     parent_assignments,
     parents,
+    read_records,
     save_network,
     state_index,
     topological_order,
     validate,
+    write_records,
 )
 
 
@@ -213,6 +216,24 @@ class TestFileFormat:
         save_network(load_network(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().endswith("\n")
+
+    def test_json_lines_round_trip(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [])
+        assert path.read_bytes() == b""
+        assert read_records(path, dict, "test") == []
+        lines = ['{"a": "x\u2028y\u0085z"}', '{"b": 2}']
+        write_records(path, lines)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert read_records(path, dict, "test") == [{"a": "x\u2028y\u0085z"}, {"b": 2}]
+
+    def test_load_errors_name_the_file(self, tmp_path, gallstone_net):
+        path = tmp_path / "net.json"
+        doc = network_to_dict(gallstone_net)
+        doc["cpts"][0]["rows"][0]["p"] = [0.5, 0.6]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(NetworkFormatError, match=f"^{re.escape(str(path))}: invalid network: "):
+            load_network(path)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

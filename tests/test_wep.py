@@ -125,13 +125,12 @@ class TestVerbalizeDistribution:
     def test_uniform_row_collapses_to_marker(self):
         rng = np.random.default_rng(9)
         got = verbalize_distribution([0.25, 0.25, 0.25, 0.25], rng)
-        assert got == VerbalizedDistribution(phrases=None, equally_likely=True, argmax_states=None)
+        assert got == VerbalizedDistribution(phrases=None, argmax_states=None)
 
     def test_low_anchor_rows_note_the_argmax(self):
         rng = np.random.default_rng(10)
         got = verbalize_distribution([0.2, 0.2, 0.3, 0.3], rng, second_closest_prob=0.0)
         assert got.phrases == ("unlikely", "unlikely", "probably not", "probably not")
-        assert got.equally_likely is False
         assert got.argmax_states == (2, 3)
 
     def test_high_anchor_rows_need_no_note(self):
