@@ -62,6 +62,27 @@ def _binding(text: str) -> tuple[str, str]:
     return var, state
 
 
+def _int_at_least(low: int):
+    def convert(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return convert
+
+
+def _probability(text: str) -> float:
+    try:
+        if 0.0 <= float(text) <= 1.0:  # nan is refused too
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -163,7 +184,9 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
                 f"network name {net.name!r} is used by both {seen[net.name]} and {path}"
             )
         seen[net.name] = path
-    # generate everything before touching --out, so a failure leaves no files
+    # encode (refusing an unwritable name) and generate everything before
+    # touching --out, so a failure leaves no files
+    encoders = [ds.NetworkEncoder(net) for net in networks]
     generated = [
         ds.generate_dataset(net, args.count, args.seed, second_closest_prob=args.second_closest, stream=k)
         for k, net in enumerate(networks)
@@ -179,21 +202,19 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
             path.unlink()
     kinds = ("numeric", "wep") if args.kind == "both" else (args.kind,)
     all_instances = []
-    programs = 0
-    for net, instances in zip(networks, generated):
-        encoder = ds.NetworkEncoder(net)
+    for encoder, instances in zip(encoders, generated):
         # every instance of one network carries the same premises tuple
         premises = ds.filter_premises(instances[0], kinds).premises
         for inst in instances:
             (outdir / f"{inst.id}.pl").write_text(encoder.text(inst), encoding="utf-8")
-            programs += 1
             all_instances.append(replace(inst, premises=premises))
     dataset_path = outdir / "dataset.jsonl"
     ds.save_dataset(all_instances, dataset_path)
+    n = len(all_instances)  # one program file per instance
     _emit(
         args,
-        [f"wrote {len(all_instances)} instance(s) to {dataset_path} (+{programs} program files)"],
-        {"instances": len(all_instances), "dataset": str(dataset_path), "programs": programs},
+        [f"wrote {n} instance(s) to {dataset_path} (+{n} program files)"],
+        {"instances": n, "dataset": str(dataset_path), "programs": n},
     )
     return 0
 
@@ -302,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--precision",
-        type=int,
+        type=_int_at_least(0),
         default=argparse.SUPPRESS,
         help="decimal places for probabilities (default 9)",
     )
@@ -348,16 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen-dataset", cmd_gen_dataset, "generate benchmark instances + program files")
     p.add_argument("networks", nargs="+")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--kind", choices=("numeric", "wep", "both"), default="both")
-    p.add_argument("--second-closest", type=float, default=0.1)
+    p.add_argument("--second-closest", type=_probability, default=0.1)
 
     p = add("wep", cmd_wep, "map a probability to a phrase or back")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--prob", type=float)
+    group.add_argument("--prob", type=_probability)
     group.add_argument("--phrase")
-    p.add_argument("--second-closest", type=float, default=0.1)
+    p.add_argument("--second-closest", type=_probability, default=0.1)
 
     p = add("classify", cmd_classify, "reasoning type(s) of a query/evidence pattern")
     p.add_argument("network")
@@ -394,10 +415,6 @@ def main(argv: list[str] | None = None) -> int:
         for var in evidence_vars:
             if evidence_vars.count(var) > 1:
                 parser.error(f"--evidence names variable {var!r} more than once")
-    if args.command == "gen-dataset" and args.count <= 0:
-        parser.error("--count must be positive")
-    if args.command == "wep" and args.prob is not None and not 0.0 <= args.prob <= 1.0:
-        parser.error("--prob must be in [0, 1]")
 
     try:
         return args.func(args)

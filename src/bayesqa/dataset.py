@@ -43,6 +43,7 @@ from .model import (
     parent_assignments,
     parents,
     read_records,
+    record_field,
     topological_order,
     validate,
     write_records,
@@ -282,12 +283,7 @@ def classify_reasoning(
             break
 
     types = tuple(t for t in REASONING_TYPES if t in found)
-    primary = "none"
-    for t in reversed(REASONING_TYPES):
-        if t in found:
-            primary = t
-            break
-    return types, primary
+    return types, types[-1] if types else "none"
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +470,8 @@ def instance_to_dict(instance: DatasetInstance) -> dict:
 
 def instance_from_dict(doc: dict) -> DatasetInstance:
     return DatasetInstance(
-        id=str(doc["id"]),
-        network=str(doc["network"]),
+        id=record_field(doc, "id", "a string", str),
+        network=record_field(doc, "network", "a string", str),
         premises=tuple(
             Premise(
                 kind=p["kind"],
@@ -492,11 +488,11 @@ def instance_from_dict(doc: dict) -> DatasetInstance:
         question=Binding(
             doc["question"]["variable"], doc["question"]["state"], doc["question"]["text"]
         ),
-        gold=float(doc["gold"]),
+        gold=float(record_field(doc, "gold", "a number", int, float)),
         reasoning_types=tuple(doc["reasoning_types"]),
-        primary_type=str(doc["primary_type"]),
-        seed=int(doc["seed"]),
-        index=int(doc["index"]),
+        primary_type=record_field(doc, "primary_type", "a string", str),
+        seed=record_field(doc, "seed", "an integer", int),
+        index=record_field(doc, "index", "an integer", int),
     )
 
 

@@ -45,7 +45,10 @@ class UnknownClause(BayesqaError):
 
 
 class UnrepresentableName(BayesqaError):
-    """A variable id or state name cannot be rendered as a program constant."""
+    """A name cannot be written in program text: a predicate (variable id)
+    that is not a lowercase identifier, or a constant (state, entity) that is
+    empty or holds a quote or a newline. Raised only by the serializer in
+    :mod:`bayesqa.problog.syntax`."""
 
 
 class EnumerationBoundExceeded(BayesqaError):

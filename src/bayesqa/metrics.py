@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import PredictionMismatch
 from .dataset import DatasetInstance
-from .model import read_records, write_records
+from .model import read_records, record_field, write_records
 
 RELATIVE_TOLERANCE = 1e-4
 ABSOLUTE_FLOOR = 1e-9
@@ -188,12 +188,13 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
 
 
 def _prediction_from_dict(doc: dict) -> Prediction:
-    if "error" in doc:
-        return Prediction(id=str(doc["id"]), error=str(doc["error"]))
+    id_ = record_field(doc, "id", "a string", str)
+    if doc.get("error") is not None:  # "error": null is no error
+        return Prediction(id=id_, error=record_field(doc, "error", "a string or null", str))
     value = doc.get("value")
     if value is not None and type(value) not in (int, float):  # a JSON true is a bool, not an int
         raise TypeError(f"value must be a number or null, got {json.dumps(value)}")
-    return Prediction(id=str(doc["id"]), value=float(value) if value is not None else None)
+    return Prediction(id=id_, value=float(value) if value is not None else None)
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:

@@ -93,7 +93,6 @@ def make_network(
     tables: Mapping[str, tuple[Iterable[str], Iterable[str], Mapping[tuple[str, ...], Iterable[float]]]],
     *,
     entity: str = "x",
-    names: Mapping[str, str] | None = None,
 ) -> BayesianNetwork:
     """Build a network from ``{var: (states, parents, rows)}`` literals.
 
@@ -103,8 +102,7 @@ def make_network(
 
     net = BayesianNetwork(name=name, entity=entity)
     for var, (states, parents, rows) in tables.items():
-        display = (names or {}).get(var, var)
-        net.variables[var] = Variable(id=var, name=display, states=tuple(states))
+        net.variables[var] = Variable(id=var, name=var, states=tuple(states))
         net.cpts[var] = Cpt(
             variable=var,
             parents=tuple(parents),
@@ -449,6 +447,16 @@ def read_records(path: str | Path, decode: Callable[[dict], object], what: str) 
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise NetworkFormatError(f"{path}:{i + 1}: bad {what} record ({exc})") from None
     return out
+
+
+def record_field(doc: dict, key: str, what: str, *types: type):
+    """``doc[key]`` when its exact type is one of ``types`` (so a JSON true is
+    not a number); otherwise a TypeError, which :func:`read_records` reports."""
+
+    value = doc[key]
+    if type(value) not in types:
+        raise TypeError(f"{key} must be {what}, got {json.dumps(value)}")
+    return value
 
 
 def write_records(path: str | Path, lines: Sequence[str]) -> None:

@@ -18,6 +18,10 @@ from the head atoms, maps each atom to ``(variable id, state)``; body
 literals, evidence and queries all resolve through it. A shared entity
 constant is stripped from atoms back into network metadata when every atom
 carries the same one.
+
+Names are not checked here: variable ids become predicates and states and the
+entity become constants as they are, and :mod:`.syntax` refuses what it cannot
+write when the program is serialized.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..errors import NetworkFormatError, UnknownClause, UnrepresentableName, UnsupportedFragment
+from ..errors import NetworkFormatError, UnknownClause, UnsupportedFragment
 from ..model import (
     BayesianNetwork,
     Cpt,
@@ -36,15 +40,7 @@ from ..model import (
     state_index,
     topological_order,
 )
-from .syntax import (
-    BARE_CONSTANT,
-    Atom,
-    Clause,
-    Literal,
-    ProbHead,
-    ProblogProgram,
-    format_atom,
-)
+from .syntax import Atom, Clause, Literal, ProbHead, ProblogProgram, format_atom
 
 BINARY_STATES = ("true", "false")
 
@@ -54,21 +50,6 @@ BINARY_STATES = ("true", "false")
 # ---------------------------------------------------------------------------
 
 
-def _predicate_for(variable_id: str) -> str:
-    if not BARE_CONSTANT.match(variable_id):
-        raise UnrepresentableName(
-            f"variable id {variable_id!r} is not usable as a predicate "
-            "(must be a lowercase identifier)"
-        )
-    return variable_id
-
-
-def _constant_for(value: str, *, what: str) -> str:
-    if value == "" or "'" in value:
-        raise UnrepresentableName(f"{what} {value!r} is not representable as a program constant")
-    return value
-
-
 def atom_for(network: BayesianNetwork, variable: str, state: str, entity: str | None = None) -> tuple[Atom, bool]:
     """The atom encoding ``variable = state`` and whether it appears positively.
 
@@ -76,32 +57,35 @@ def atom_for(network: BayesianNetwork, variable: str, state: str, entity: str | 
     returned flag is False exactly there.
     """
 
-    ent = _constant_for(entity if entity is not None else network.entity, what="entity constant")
-    pred = _predicate_for(variable)
+    ent = entity if entity is not None else network.entity
     states = network.states(variable)
     idx = state_index(network, variable, state)
     if len(states) == 2:
-        return Atom(pred, (ent,)), idx == 0
-    return Atom(pred, (ent, _constant_for(state, what=f"state of {variable!r}"))), True
+        return Atom(variable, (ent,)), idx == 0
+    return Atom(variable, (ent, state)), True
 
 
 def bn_to_problog(network: BayesianNetwork, entity: str | None = None) -> ProblogProgram:
     """Encode a validated network as a program, one clause per CPT row.
 
     Clauses follow the canonical variable order and row-major row order, so
-    the output is deterministic.
+    the output is deterministic. Names are not checked: a network whose
+    variable id is not a lowercase identifier (``Upper``), or whose state or
+    entity holds a quote or a newline, still gives a program that
+    :func:`~bayesqa.problog.semantics.evaluate` answers in memory; writing
+    it (``serialize``, ``dataset.NetworkEncoder``) raises
+    :class:`UnrepresentableName`.
     """
 
-    ent = _constant_for(entity if entity is not None else network.entity, what="entity constant")
     clauses: list[Clause] = []
     for vid in topological_order(network):
         states = network.states(vid)
         if len(states) == 2:
             states = states[:1]  # the second state is the negated head atom
-        head_atoms = [atom_for(network, vid, s, ent)[0] for s in states]
+        head_atoms = [atom_for(network, vid, s, entity)[0] for s in states]
         cpt = network.cpts[vid]
         for key in parent_assignments(network, vid):
-            literals = [atom_for(network, parent, state, ent) for parent, state in zip(cpt.parents, key)]
+            literals = [atom_for(network, parent, state, entity) for parent, state in zip(cpt.parents, key)]
             body = tuple(Literal(atom, negated=not positive) for atom, positive in literals)
             heads = tuple(ProbHead(p, a) for p, a in zip(cpt.rows[key], head_atoms))
             clauses.append(Clause(heads=heads, body=body))

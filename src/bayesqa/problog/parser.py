@@ -13,9 +13,12 @@ Grammar (ground fragment; ``%`` starts a line comment):
     atom       ::= ident ( "(" constant ( "," constant )* ")" )?
     constant   ::= ident | quoted
 
-An unannotated head is a deterministic fact (probability 1). ``not``,
-``evidence`` and ``query`` are contextual keywords: ``evidence``/``query``
-only at statement start, ``not`` only in literal position.
+An unannotated head is a deterministic fact (probability 1). ``ident`` and
+``quoted`` are the patterns of :mod:`.syntax`, so every name the serializer
+writes reads back. ``not``, ``evidence`` and ``query`` are contextual
+keywords: ``evidence``/``query`` only at statement start with ``(`` next,
+``not`` only in literal position with an ident next. So ``p :- not(e).`` has
+the positive body atom ``not(e)``, and ``p :- not not(e).`` negates it.
 
 The tokenizer walks ``_TOKEN`` with one anchored match loop. A token is a
 plain ``(kind, text, offset)`` tuple: punctuation is its own kind, and an
@@ -29,17 +32,17 @@ from __future__ import annotations
 import re
 
 from ..errors import ProblogSyntaxError
-from .syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
+from .syntax import IDENT, QUOTED, Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
 
 _TOKEN = re.compile(
-    r"""
+    rf"""
       (?P<WS>[ \t\r\n]+)
     | (?P<COMMENT>%[^\n]*)
     | (?P<PROBSEP>::)
     | (?P<ARROW>:-)
     | (?P<NUMBER>\d+\.\d+|\d+)
-    | (?P<QUOTED>'[^'\n]*')
-    | (?P<IDENT>[a-z][A-Za-z0-9_]*)
+    | (?P<QUOTED>{QUOTED})
+    | (?P<IDENT>{IDENT})
     | (?P<PUNCT>[;,.()])
     """,
     re.VERBOSE,
@@ -168,7 +171,7 @@ class _Parser:
         raise self.fail("a probability or an atom")
 
     def literal(self) -> Literal:
-        if self.current[:2] == ("IDENT", "not"):
+        if self.current[:2] == ("IDENT", "not") and self._peek_is("IDENT"):
             self.advance()
             return Literal(atom=self.atom(), negated=True)
         return Literal(atom=self.atom(), negated=False)

@@ -6,6 +6,13 @@ identifiers or single-quoted strings, atoms are ``pred`` or
 separated by ``;``, form an annotated disjunction), and bodies are
 comma-separated literals with optional ``not``.
 
+This module owns the spelling of names. :data:`IDENT` and :data:`QUOTED` are
+the token patterns the parser is built from; a predicate must be an
+identifier, and a constant that is not one is quoted, so it must be nonempty
+and hold no quote or newline. The serializer is the only place a name is
+refused: :func:`format_constant` and :func:`format_atom` raise
+:class:`UnrepresentableName`, so every text it writes parses back.
+
 Serialization is canonical so that equal ASTs produce equal bytes:
 
 * one statement per line with a blank line between statements; clauses first,
@@ -22,9 +29,13 @@ representable with six fractional digits; higher-precision values round.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-BARE_CONSTANT = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+from ..errors import UnrepresentableName
+
+IDENT = r"[a-z][A-Za-z0-9_]*"
+QUOTED = r"'[^'\n]*'"
+BARE_CONSTANT = re.compile(IDENT + r"\Z")
 
 
 @dataclass(frozen=True)
@@ -119,14 +130,14 @@ def format_probability(p: float) -> str:
 def format_constant(value: str) -> str:
     if BARE_CONSTANT.match(value):
         return value
-    if value == "" or "'" in value:
-        raise ValueError(f"constant {value!r} is not representable (empty or contains a quote)")
+    if value == "" or "'" in value or "\n" in value:
+        raise UnrepresentableName(f"constant {value!r} cannot be written: empty, or holds a quote or a newline")
     return f"'{value}'"
 
 
 def format_atom(atom: Atom) -> str:
     if not BARE_CONSTANT.match(atom.predicate):
-        raise ValueError(f"predicate {atom.predicate!r} is not a valid identifier")
+        raise UnrepresentableName(f"predicate {atom.predicate!r} cannot be written: not a lowercase identifier")
     if not atom.args:
         return atom.predicate
     return f"{atom.predicate}({','.join(format_constant(a) for a in atom.args)})"

@@ -24,7 +24,7 @@ from bayesqa.dataset import (
 )
 from bayesqa.metrics import Prediction, save_predictions
 from bayesqa.model import load_network, make_network, network_from_dict, save_network
-from bayesqa.problog import bn_to_problog, parse, serialize
+from bayesqa.problog import bn_to_problog, evaluate, parse, serialize
 from bayesqa.problog.convert import atom_for
 from bayesqa.problog.syntax import Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
 from conftest import GALLSTONE_TEXT, WIDE_PROGRAM_TEXT, three_state_chain
@@ -182,6 +182,57 @@ class TestInputErrors:
             f"error: NetworkFormatError: {bad}:1: bad prediction record "
             f"(value must be a number or null, got {value})\n"
         )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("gold", True, "gold must be a number, got true"),
+            ("gold", "0.5", 'gold must be a number, got "0.5"'),
+            ("seed", "7", 'seed must be an integer, got "7"'),
+            ("seed", True, "seed must be an integer, got true"),
+            ("index", True, "index must be an integer, got true"),
+            ("index", 1.0, "index must be an integer, got 1.0"),
+            ("id", 5, "id must be a string, got 5"),
+            ("network", 5, "network must be a string, got 5"),
+            ("primary_type", None, "primary_type must be a string, got null"),
+        ],
+    )
+    def test_dataset_field_types(self, capsys, tmp_path, gallstone_net, field, value, message):
+        records = [instance_to_dict(i) for i in generate_dataset(gallstone_net, 2, seed=3)]
+        records[1][field] = value
+        bad = tmp_path / "dataset.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code, out, err = run(capsys, "baseline", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: NetworkFormatError: {bad}:2: bad dataset record ({message})\n"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id": 5, "value": 0.5}', "id must be a string, got 5"),
+            ('{"id": "gallstone-0000", "error": 5}', "error must be a string or null, got 5"),
+        ],
+    )
+    def test_prediction_field_types(self, capsys, tmp_path, gallstone_net, record, message):
+        save_dataset(generate_dataset(gallstone_net, 1, seed=3), tmp_path / "dataset.jsonl")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "score", str(tmp_path / "dataset.jsonl"), str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: NetworkFormatError: {bad}:1: bad prediction record ({message})\n"
+
+    def test_prediction_error_null_is_no_error(self, capsys, tmp_path, gallstone_net):
+        instances = generate_dataset(gallstone_net, 3, seed=3)
+        save_dataset(instances, tmp_path / "dataset.jsonl")
+        reports = []
+        for name, extra in (("plain", ""), ("null", ', "error": null')):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join('{"id": "%s", "value": 0.5%s}\n' % (i.id, extra) for i in instances), encoding="utf-8")
+            code, out, _ = run(capsys, "score", str(tmp_path / "dataset.jsonl"), str(path), "--format", "machine")
+            assert code == 0
+            reports.append(machine(out))
+        assert reports[0] == reports[1]
+        assert reports[1]["overall"]["pct_error"] == 0.0
 
     NETWORK_FILES = {
         "schema": ("[1]", "top level must be a JSON object"),
@@ -474,6 +525,35 @@ class TestGenDataset:
         assert "at least 2 variables" in err
         assert list(out.iterdir()) == []  # no .pl file from the first network, no dataset.jsonl
 
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [('"gallstones"', '"Gallstones"', "'Gallstones'"), ('"300-499"', '"300\\n499"', "'300\\n499'")],
+        ids=["variable-id", "state-newline"],
+    )
+    def test_unwritable_name_writes_nothing(self, capsys, tmp_path, old, new, name):
+        # the second network's encoding is refused before the first's programs are written
+        bad = tmp_path / "bad.json"
+        text = Path(NET).read_text(encoding="utf-8")
+        bad.write_text(text.replace(old, new).replace('"gallstone"', '"other"'), encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        code, stdout, err = run(capsys, "gen-dataset", NET, str(bad), "--count", "3", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: UnrepresentableName: ") and name in err and err.count("\n") == 1, err
+        assert list(out.iterdir()) == []
+
+    def test_variable_named_not_solves_back(self, capsys, tmp_path):
+        net = tmp_path / "not.json"
+        net.write_text(Path(NET).read_text(encoding="utf-8").replace('"gallstones"', '"not"'), encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "gen-dataset", str(net), "--count", "12", "--seed", "7", "--out", str(out))
+        assert code == 0
+        instances = load_dataset(out / "dataset.jsonl")
+        assert any(b.variable == "not" for i in instances for b in (*i.evidence, i.question))
+        for inst in instances:
+            (p,) = evaluate(parse((out / f"{inst.id}.pl").read_text(encoding="utf-8"))).values()
+            assert abs(p - inst.gold) <= 1e-12
+
     def test_rerun_removes_only_its_own_stale_programs(self, capsys, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -650,6 +730,32 @@ class TestStats:
         code, out, _ = run(capsys, "stats", NET, "--dataset", str(path), "--format", "machine")
         assert code == 0
         assert machine(out)["queries"] == 3
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--precision", "-3", "infer", NET, "--query", "amylase=500-1400"], "--precision"),
+            (["wep", "--phrase", "likely", "--precision", "x"], "--precision"),
+            (["gen-dataset", NET, "--count", "-1", "--out", "{out}"], "--count"),
+            (["gen-dataset", NET, "--count", "2.5", "--out", "{out}"], "--count"),
+            (["gen-dataset", NET, "--count", "1", "--second-closest", "-0.1", "--out", "{out}"], "--second-closest"),
+            (["wep", "--prob", "nan"], "--prob"),
+            (["wep", "--prob", "0.5", "--second-closest", "2"], "--second-closest"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, tmp_path, argv, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(out=out) for a in argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_precision(self, capsys):
+        code, out, _ = run(capsys, "--precision", "0", "wep", "--phrase", "almost certain")
+        assert (code, out) == (0, "1\n")
 
 
 class TestGlobalFlags:

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netgen
+from bayesqa.dataset import NetworkEncoder
 from bayesqa.errors import UnknownClause, UnrepresentableName, UnsupportedFragment
-from bayesqa.model import make_network, network_to_dict, validate
+from bayesqa.model import BayesianNetwork, Cpt, Variable, make_network, network_to_dict, validate
 from bayesqa.problog import Atom, bn_to_problog, parse, problog_to_bn, serialize
-from bayesqa.problog.convert import atom_for, compile_program
+from bayesqa.problog.convert import BINARY_STATES, atom_for, compile_program
 from bayesqa.problog.syntax import Clause, Literal, ProbHead, ProblogProgram
 from conftest import GALLSTONE_TEXT
 
@@ -61,15 +65,60 @@ class TestEncode:
         bad_id = make_network(
             "bad", {"Upper": (("t", "f"), (), {(): (0.5, 0.5)}), "b": (("t", "f"), (), {(): (0.5, 0.5)})}
         )
-        with pytest.raises(UnrepresentableName):
-            bn_to_problog(bad_id)
+        program = bn_to_problog(bad_id)  # encoded in memory; refused when written
+        assert sorted(problog_to_bn(program).variables) == ["Upper", "b"]
+        with pytest.raises(UnrepresentableName, match="'Upper'"):
+            serialize(program)
+        with pytest.raises(UnrepresentableName, match="'Upper'"):
+            NetworkEncoder(bad_id)
         bad_entity = make_network(
             "bad2",
             {"a": (("t", "f"), (), {(): (0.5, 0.5)}), "b": (("t", "f"), (), {(): (0.5, 0.5)})},
             entity="don't",
         )
-        with pytest.raises(UnrepresentableName):
-            bn_to_problog(bad_entity)
+        with pytest.raises(UnrepresentableName, match="don't"):
+            serialize(bn_to_problog(bad_entity))
+
+
+# states and the entity: short text with spaces, comment signs, carriage
+# returns and non-ASCII characters, drawn half the time from an alphabet that
+# adds a quote and a newline; ids: identifiers, keywords and non-identifiers
+_SAFE = "ab Z9_-%.,()\r\u00e9\u6f22"
+NAME_TEXT = st.text(_SAFE, min_size=1, max_size=4) | st.text(_SAFE + "'\n", min_size=1, max_size=4)
+_IDENTIFIERS = ("a", "b_2", "xY", "c", "d0", "not", "evidence", "query", "true")
+VARIABLE_IDS = st.sampled_from(_IDENTIFIERS) | st.sampled_from(_IDENTIFIERS + ("Upper", "9a", "\u00e9"))
+
+
+@st.composite
+def named_networks(draw) -> BayesianNetwork:
+    """2-5 variables with drawn names; two-state variables keep ("true", "false")
+    and parents are sorted, the decoder's canonical forms."""
+
+    ids = draw(st.lists(VARIABLE_IDS, min_size=2, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = BayesianNetwork(name="named", entity=draw(NAME_TEXT))
+    for i, vid in enumerate(ids):
+        k = draw(st.integers(2, 4))
+        states = BINARY_STATES if k == 2 else tuple(draw(st.lists(NAME_TEXT, min_size=k, max_size=k, unique=True)))
+        parent_ids = tuple(sorted(draw(st.lists(st.sampled_from(ids[:i]), max_size=2, unique=True)))) if i else ()
+        grid = itertools.product(*(net.states(p) for p in parent_ids))
+        net.variables[vid] = Variable(id=vid, name=vid, states=states)
+        net.cpts[vid] = Cpt(variable=vid, parents=parent_ids, rows={key: netgen.grid_row(rng, k) for key in grid})
+    return net
+
+
+class TestNamesInPrograms:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(named_networks())
+    def test_every_written_program_reads_back(self, net):
+        if validate(net):
+            return
+        try:
+            text = serialize(bn_to_problog(net))
+        except UnrepresentableName:
+            return  # refused at the writer; nothing unreadable was written
+        again = problog_to_bn(parse(text), name=net.name)
+        assert network_to_dict(again) == network_to_dict(net)
 
 
 class TestDecode:

@@ -75,6 +75,16 @@ class TestGrammar:
         assert body[0].atom.predicate == "query"
         assert body[1].atom.predicate == "evidence" and body[1].negated
 
+    def test_not_negates_only_before_an_identifier(self):
+        # a variable may be named `not`: `not(e)` is its atom, `not not(e)` negates it
+        prog = parse("0.5::a(e) :- not(e).\n0.5::b(e) :- not not(e).\n0.5::c :- not.")
+        assert [c.body for c in prog.clauses] == [
+            (Literal(Atom("not", ("e",))),),
+            (Literal(Atom("not", ("e",)), negated=True),),
+            (Literal(Atom("not")),),
+        ]
+        assert serialize(prog).splitlines()[2] == "0.5::b(e) :- not not(e)."
+
     def test_reference_program_shape(self):
         prog = parse(GALLSTONE_TEXT)
         assert len(prog.clauses) == 5

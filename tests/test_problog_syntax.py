@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from bayesqa.errors import UnrepresentableName
 from bayesqa.problog import (
     Atom,
     Clause,
@@ -83,10 +86,9 @@ class TestConstantAndAtomFormat:
         assert format_constant("0weird") == "'0weird'"
 
     def test_unrepresentable_constants(self):
-        with pytest.raises(ValueError):
-            format_constant("")
-        with pytest.raises(ValueError):
-            format_constant("don't")
+        for value in ("", "don't", "300\n499"):
+            with pytest.raises(UnrepresentableName, match=re.escape(repr(value))):
+                format_constant(value)
 
     def test_atom_formats(self):
         assert format_atom(Atom("gallstones", ("patient",))) == "gallstones(patient)"
@@ -95,7 +97,7 @@ class TestConstantAndAtomFormat:
 
     def test_bad_predicate(self):
         atom = Atom("Weird")
-        with pytest.raises(ValueError):
+        with pytest.raises(UnrepresentableName, match="'Weird'"):
             format_atom(atom)
 
 
