@@ -145,13 +145,24 @@ def _normalize_constraints(
     return out
 
 
-def _zero_mass(constraints: Constraints) -> ZeroProbabilityEvidence:
-    """The one report of evidence with mass 0, for every engine. Set-valued
-    entries print as sorted lists, so the text does not depend on the
-    process's hash seed."""
+def _check_query(network: BayesianNetwork, query_var: str, query_state: str, evidence: Mapping[str, str]) -> int:
+    """Check the query, then the evidence, then their overlap; return the query state's index."""
 
-    shown = {v: a if isinstance(a, str) else sorted(a) for v, a in dict(constraints).items()}
-    return ZeroProbabilityEvidence(f"evidence {shown!r} has probability 0")
+    [(_, (qstate,)), *_] = _normalize_constraints(network, [(query_var, query_state), *evidence.items()])
+    if query_var in evidence:
+        raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
+    return qstate
+
+
+def _conditionals(constraints: Constraints, mass: float, parts: Iterable[float]) -> list[float]:
+    """Each part of ``mass`` as a probability, and the one report of zero mass,
+    for every engine. Set-valued entries print as sorted lists, so the text
+    does not depend on the process's hash seed."""
+
+    if mass == 0.0:
+        shown = {v: a if isinstance(a, str) else sorted(a) for v, a in dict(constraints).items()}
+        raise ZeroProbabilityEvidence(f"evidence {shown!r} has probability 0")
+    return [_as_probability(part / mass) for part in parts]
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +216,9 @@ def conditional_query(
     :class:`QueryEvidenceOverlap` when the query variable is also evidence.
     """
 
-    if query_var in evidence:
-        raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
-    den, (num,) = constrained_sweep(network, evidence, [(query_var, query_state)])
-    if den == 0.0:
-        raise _zero_mass(evidence)
-    return QueryResult(probability=_as_probability(num / den), method="enumeration")
+    _check_query(network, query_var, query_state, evidence)
+    sums = constrained_sweep(network, evidence, [(query_var, query_state)])
+    return QueryResult(probability=_conditionals(evidence, *sums)[0], method="enumeration")
 
 
 def constrained_sweep(
@@ -296,8 +304,7 @@ def masked_posterior(
     c = compile_network(network)
     net = c.network
     allowed = _normalize_constraints(net, constraints.items())
-    if variable not in net.variables:
-        raise UnknownVariable(f"unknown variable {variable!r}")
+    net.states(variable)  # an unknown variable fails here
     card = c.card
 
     # CPTs in declaration order, then masks: each bucket multiplies in this order
@@ -351,10 +358,7 @@ def posterior(
     """
 
     values = masked_posterior(network, variable, dict(constraints))
-    total = float(values.sum())
-    if total == 0.0:
-        raise _zero_mass(constraints)
-    return tuple(_as_probability(v / total) for v in values.tolist())
+    return tuple(_conditionals(constraints, float(values.sum()), values.tolist()))
 
 
 def eliminate(
@@ -369,9 +373,7 @@ def eliminate(
     """
 
     c = compile_network(network)
-    if query_var in evidence:
-        raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
-    [(_, (qstate,))] = _normalize_constraints(c.network, [(query_var, query_state)])
+    qstate = _check_query(c.network, query_var, query_state, evidence)
     return QueryResult(probability=posterior(c, query_var, evidence)[qstate], method="elimination")
 
 

@@ -111,11 +111,16 @@ def make_network(
     return net
 
 
+def assignment_grid(network: BayesianNetwork, parent_ids: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """State tuples of ``parent_ids`` in canonical row-major order."""
+
+    return itertools.product(*(network.states(p) for p in parent_ids))
+
+
 def parent_assignments(network: BayesianNetwork, variable: str) -> Iterator[tuple[str, ...]]:
     """Yield parent-state tuples in canonical row-major order."""
 
-    cpt = network.cpts[variable]
-    yield from itertools.product(*(network.states(p) for p in cpt.parents))
+    return assignment_grid(network, network.cpts[variable].parents)
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +131,14 @@ def parent_assignments(network: BayesianNetwork, variable: str) -> Iterator[tupl
 def parents(network: BayesianNetwork, variable: str) -> tuple[str, ...]:
     """Parent ids of ``variable`` in CPT order."""
 
-    if variable not in network.variables:
-        raise UnknownVariable(f"unknown variable {variable!r}")
+    network.states(variable)  # an unknown variable fails here
     return network.cpts[variable].parents
 
 
 def children(network: BayesianNetwork, variable: str) -> tuple[str, ...]:
     """Child ids of ``variable``, lexicographically sorted."""
 
-    if variable not in network.variables:
-        raise UnknownVariable(f"unknown variable {variable!r}")
+    network.states(variable)  # an unknown variable fails here
     return tuple(
         sorted(v for v, cpt in network.cpts.items() if variable in cpt.parents)
     )
@@ -267,9 +270,7 @@ def validate(network: BayesianNetwork) -> list[Violation]:
     return out
 
 
-def _row_label(parent_ids: tuple[str, ...], key: tuple[str, ...]) -> str:
-    if not parent_ids:
-        return "()"
+def _row_label(parent_ids: Sequence[str], key: tuple[str, ...]) -> str:
     return "(" + ", ".join(f"{p}={s}" for p, s in zip(parent_ids, key)) + ")"
 
 
@@ -388,7 +389,7 @@ def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = T
                 )
             key = tuple(given[p] for p in parent_ids)
             if key in rows:
-                raise NetworkFormatError(f"cpt[{vid}]: duplicate row for {_row_label(tuple(parent_ids), key)}")
+                raise NetworkFormatError(f"cpt[{vid}]: duplicate row for {_row_label(parent_ids, key)}")
             dist = row["p"]
             if not isinstance(dist, list) or any(
                 isinstance(p, bool) or not isinstance(p, (int, float)) for p in dist

@@ -12,14 +12,13 @@ the removed variables whose induced or mediated dependence was dropped.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from collections import deque
 from typing import Iterable
 
 from .errors import UnknownVariable, ZeroProbabilityEvidence
 from .inference import compile_network, posterior
-from .model import BayesianNetwork, Cpt, Variable
+from .model import BayesianNetwork, Cpt, Variable, assignment_grid
 
 
 def marginal_prior(network: BayesianNetwork, variable: str) -> tuple[float, ...]:
@@ -29,8 +28,7 @@ def marginal_prior(network: BayesianNetwork, variable: str) -> tuple[float, ...]
     everything else is computed by elimination.
     """
 
-    if variable not in network.variables:
-        raise UnknownVariable(f"unknown variable {variable!r}")
+    network.states(variable)  # an unknown variable fails here
     cpt = network.cpts[variable]
     if not cpt.parents:
         return tuple(cpt.rows[()])
@@ -69,7 +67,7 @@ def subset(network: BayesianNetwork, keep: Iterable[str]) -> BayesianNetwork:
             out.cpts[vid] = Cpt(variable=vid, parents=cpt.parents, rows=dict(cpt.rows))
             continue
         rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-        for key in _assignments(network, new_parents):
+        for key in assignment_grid(network, new_parents):
             constraints = {p: s for p, s in zip(new_parents, key)}
             try:
                 rows[key] = posterior(form, vid, constraints)
@@ -101,10 +99,6 @@ def subset(network: BayesianNetwork, keep: Iterable[str]) -> BayesianNetwork:
             stacklevel=2,
         )
     return out
-
-
-def _assignments(network: BayesianNetwork, parent_ids: tuple[str, ...]):
-    return itertools.product(*(network.states(p) for p in parent_ids))
 
 
 def _kept_frontier(

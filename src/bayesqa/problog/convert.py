@@ -11,9 +11,9 @@ Encoding (network → program), one statement per CPT row:
   two-state parents, state-constant literals for wider parents
 
 Decoding inverts this, accepting any program in the fragment: head groups
-define variables, bodies define parents, and the bodies of each variable's
-clauses must partition its parent assignment grid (no overlap, no gap; the
-first bad assignment in row-major order is reported). One atom table, built
+define variables, bodies define parents in first-named order, and each
+variable's bodies must partition its parent assignment grid (no overlap, no
+gap; the first bad cell in row-major order is reported). One atom table, built
 from the head atoms, maps each atom to ``(variable id, state)``; body
 literals, evidence and queries all resolve through it. A shared entity
 constant is stripped from atoms back into network metadata when every atom
@@ -33,10 +33,12 @@ from typing import Iterable
 
 from ..errors import NetworkFormatError, UnknownClause, UnsupportedFragment
 from ..model import (
+    ROW_SUM_TOLERANCE,
     BayesianNetwork,
     Cpt,
     Variable,
-    parent_assignments,
+    _row_label,
+    assignment_grid,
     state_index,
     topological_order,
 )
@@ -84,7 +86,7 @@ def bn_to_problog(network: BayesianNetwork, entity: str | None = None) -> Problo
             states = states[:1]  # the second state is the negated head atom
         head_atoms = [atom_for(network, vid, s, entity)[0] for s in states]
         cpt = network.cpts[vid]
-        for key in parent_assignments(network, vid):
+        for key in assignment_grid(network, cpt.parents):
             literals = [atom_for(network, parent, state, entity) for parent, state in zip(cpt.parents, key)]
             body = tuple(Literal(atom, negated=not positive) for atom, positive in literals)
             heads = tuple(ProbHead(p, a) for p, a in zip(cpt.rows[key], head_atoms))
@@ -187,7 +189,7 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
                     heads[h.atom] = (key, state)
                     states[key].append(state)
             total = sum(dist.values())
-            if abs(total - 1.0) > 1e-6:
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 pred, prefix = group
                 label = f"{pred}({','.join(prefix)},_)" if prefix else f"{pred}(_)"
                 raise UnsupportedFragment(f"head probabilities for {label} sum to {total!r}, not 1")
@@ -249,23 +251,22 @@ def _partition(
     exactly once; otherwise the first bad assignment in row-major order is
     reported."""
 
-    parent_ids = sorted({p for _, cons, _ in clause_rows for p in cons})
-    grid = [network.states(p) for p in parent_ids]
+    parent_ids = tuple(dict.fromkeys(p for _, cons, _ in clause_rows for p in cons))
     cover: dict[tuple[str, ...], list[int]] = {}
     for k, (_, cons, _) in enumerate(clause_rows):
-        for cell in itertools.product(*(cons.get(p, all_) for p, all_ in zip(parent_ids, grid))):
+        for cell in itertools.product(*(cons[p] if p in cons else network.states(p) for p in parent_ids)):
             cover.setdefault(cell, []).append(k)
     rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-    for cell in itertools.product(*grid):
+    for cell in assignment_grid(network, parent_ids):
         hits = cover.get(cell, ())
         if len(hits) != 1:
-            label = ", ".join(f"{p}={s}" for p, s in zip(parent_ids, cell)) or "()"
+            label = _row_label(parent_ids, cell)
             if not hits:
-                raise UnsupportedFragment(f"{vid}: no clause covers parent assignment ({label})")
+                raise UnsupportedFragment(f"{vid}: no clause covers parent assignment {label}")
             which = " and ".join(f"clause {clause_rows[k][0] + 1}" for k in hits)
-            raise UnsupportedFragment(f"{vid}: {which} overlap on parent assignment ({label})")
+            raise UnsupportedFragment(f"{vid}: {which} overlap on parent assignment {label}")
         rows[cell] = clause_rows[hits[0]][2]
-    return Cpt(variable=vid, parents=tuple(parent_ids), rows=rows)
+    return Cpt(variable=vid, parents=parent_ids, rows=rows)
 
 
 def problog_to_bn(program: ProblogProgram, *, name: str = "program") -> BayesianNetwork:

@@ -19,11 +19,12 @@ import math
 from .. import inference
 from ..errors import (
     EnumerationBoundExceeded,
+    UnknownClause,
     UnstratifiedNegation,
     UnsupportedFragment,
     ZeroProbabilityEvidence,
 )
-from ..inference import _zero_mass, compile_network, constrained_sweep, posterior
+from ..inference import _conditionals, compile_network, constrained_sweep, posterior
 from .convert import compile_program
 from .syntax import Atom, ProblogProgram, format_atom, validate_program
 
@@ -44,10 +45,8 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
     targets = [compiled.resolve_atom(q.atom) for q in program.queries]
 
     if method == "enumeration":
-        den, nums = constrained_sweep(net, constraints, targets)
-        if den == 0.0:
-            raise _zero_mass(constraints)
-        return {q.atom: num / den for q, num in zip(program.queries, nums)}
+        probabilities = _conditionals(constraints, *constrained_sweep(net, constraints, targets))
+        return {q.atom: p for q, p in zip(program.queries, probabilities)}
 
     form = compile_network(net)
     return {
@@ -72,15 +71,24 @@ def enumerate_worlds(program: ProblogProgram) -> dict[Atom, float]:
     finished levels. Worlds inconsistent with the evidence are dropped; query
     probabilities are evidence-conditional sums of world probabilities.
     Raises :class:`UnstratifiedNegation` when negation sits inside a cycle,
-    :class:`UnsupportedFragment` when a clause's heads sum above 1, and,
-    before the first world, :class:`EnumerationBoundExceeded` when the worlds
-    (the product of the clauses' nonzero alternatives) outnumber
-    ``inference.MAX_JOINT_STATES``, read at call time.
+    :class:`UnsupportedFragment` when a clause's heads sum above 1,
+    :class:`UnknownClause` (in the decoder's words) for an atom no head
+    defines, and, before the first world, :class:`EnumerationBoundExceeded`
+    when the worlds (the product of the clauses' nonzero alternatives)
+    outnumber ``inference.MAX_JOINT_STATES``, read at call time.
     """
 
     problems = validate_program(program)
     if problems:
         raise UnsupportedFragment(problems[0])
+    defined = {h.atom for clause in program.clauses for h in clause.heads}
+    for ci, clause in enumerate(program.clauses):
+        for lit in clause.body:
+            if lit.atom not in defined:
+                raise UnknownClause(f"atom {format_atom(lit.atom)} in clause {ci + 1} is not defined by any clause")
+    for atom in [e.atom for e in program.evidence] + [q.atom for q in program.queries]:
+        if atom not in defined:
+            raise UnknownClause(f"atom {format_atom(atom)} does not match any defined atom")
 
     choices: list[list[tuple[Atom | None, float]]] = []
     for clause in program.clauses:
@@ -90,8 +98,6 @@ def enumerate_worlds(program: ProblogProgram) -> dict[Atom, float]:
         leftover = 1.0 - sum(h.probability for h in clause.heads)
         if leftover > 1e-9:
             alts.append((None, leftover))
-        if not alts:  # all heads impossible and no leftover: mass sits at "none"
-            alts.append((None, 1.0))
         choices.append(alts)
 
     worlds = math.prod(len(alts) for alts in choices)
@@ -164,7 +170,7 @@ def _clause_strata(program: ProblogProgram) -> list[list[int]]:
         for h in clause.heads:
             defined_by.setdefault(h.atom, []).append(ci)
     deps = [
-        [(d, lit.negated) for lit in clause.body for d in defined_by.get(lit.atom, ())]
+        [(d, lit.negated) for lit in clause.body for d in defined_by[lit.atom]]
         for clause in program.clauses
     ]
     level = [0] * len(deps)

@@ -9,8 +9,8 @@ comma-separated literals with optional ``not``.
 This module owns the spelling of names. :data:`IDENT` and :data:`QUOTED` are
 the token patterns the parser is built from; a predicate must be an
 identifier, and a constant that is not one is quoted, so it must be nonempty
-and hold no quote or newline. The serializer is the only place a name is
-refused: :func:`format_constant` and :func:`format_atom` raise
+and hold no quote or newline. Only the serializer refuses a name, not the
+AST: :func:`format_constant` and :func:`format_atom` raise
 :class:`UnrepresentableName`, so every text it writes parses back.
 
 Serialization is canonical so that equal ASTs produce equal bytes:
@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 
 from ..errors import UnrepresentableName
+from ..model import ROW_SUM_TOLERANCE
 
 IDENT = r"[a-z][A-Za-z0-9_]*"
 QUOTED = r"'[^'\n]*'"
@@ -42,12 +43,6 @@ BARE_CONSTANT = re.compile(IDENT + r"\Z")
 class Atom:
     predicate: str
     args: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.predicate:
-            raise ValueError("atom predicate must be nonempty")
-        if any(not isinstance(a, str) or a == "" for a in self.args):
-            raise ValueError(f"atom arguments must be nonempty strings: {self.args!r}")
 
     def __str__(self) -> str:
         return format_atom(self)
@@ -102,15 +97,15 @@ class ProblogProgram:
 def validate_program(program: ProblogProgram) -> list[str]:
     """Return semantic complaints not caught at parse time.
 
-    Currently: annotated-disjunction head mass above 1 (within 1e-6 slack for
-    decimal rounding). Individual head probabilities are range-checked at
-    construction.
+    Currently: annotated-disjunction head mass above 1 (within
+    ``ROW_SUM_TOLERANCE`` slack for decimal rounding). Individual head
+    probabilities are range-checked at construction.
     """
 
     problems: list[str] = []
     for i, clause in enumerate(program.clauses):
         total = sum(h.probability for h in clause.heads)
-        if total > 1.0 + 1e-6:
+        if total > 1.0 + ROW_SUM_TOLERANCE:
             problems.append(
                 f"clause {i + 1} ({format_clause(clause)}): head probabilities sum to {total!r} > 1"
             )

@@ -77,6 +77,24 @@ def sprinkler_net():
 
 
 @pytest.fixture()
+def unsorted_parents_net():
+    """``xY`` lists its parents out of sorted order: ``("b_2", "a")``."""
+
+    return make_network(
+        "order",
+        {
+            "a": (("true", "false"), (), {(): (0.3, 0.7)}),
+            "b_2": (("true", "false"), (), {(): (0.6, 0.4)}),
+            "xY": (("true", "false"), ("b_2", "a"), {
+                ("true", "true"): (0.1, 0.9), ("true", "false"): (0.2, 0.8),
+                ("false", "true"): (0.3, 0.7), ("false", "false"): (0.4, 0.6),
+            }),
+        },
+        entity="e",
+    )
+
+
+@pytest.fixture()
 def collide_net():
     """Binary ``x`` and its child ``not_x``: the indicator for x = false
     cannot be named ``not_x``."""

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from bayesqa.dataset import NetworkEncoder
-from bayesqa.model import BayesianNetwork, Cpt, Variable
+from bayesqa.model import BayesianNetwork, Cpt, Variable, assignment_grid
 from bayesqa.problog.convert import BINARY_STATES
 from bayesqa.problog.syntax import Atom, ProblogProgram
 
@@ -90,7 +90,7 @@ def random_network(
         states = BINARY_STATES if k == 2 else tuple(f"s{j}" for j in range(k))
         parent_ids = tuple(f"v{int(j)}" for j in parent_idx)
         rows_map = {}
-        for key in _assignments(net, parent_ids):
+        for key in assignment_grid(net, parent_ids):
             rows_map[key] = grid_row(rng, k)
         net.variables[vid] = Variable(id=vid, name=vid, states=states)
         net.cpts[vid] = Cpt(variable=vid, parents=parent_ids, rows=rows_map)
@@ -116,12 +116,6 @@ def with_zeros(rng: np.random.Generator, net: BayesianNetwork) -> BayesianNetwor
             rows[key] = tuple(row)
         net.cpts[v] = replace(cpt, rows=rows)
     return net
-
-
-def _assignments(net: BayesianNetwork, parent_ids: tuple[str, ...]):
-    import itertools
-
-    return itertools.product(*(net.variables[p].states for p in parent_ids))
 
 
 def random_point_query(

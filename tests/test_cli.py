@@ -310,6 +310,19 @@ class TestInfer:
         assert code == 1
         assert "error: UnknownVariable" in err
 
+    @pytest.mark.parametrize("method", ["enumeration", "elimination"])
+    @pytest.mark.parametrize(
+        "query, evidence, message",
+        [
+            ("nope=x", "nope=y", "UnknownVariable: unknown variable 'nope'"),
+            ("amylase=bad", "flatulence=worse",
+             "UnknownState: variable 'amylase' has no state 'bad' (states: 0-299, 300-499, 500-1400)"),
+        ],
+    )
+    def test_query_is_checked_before_evidence(self, capsys, method, query, evidence, message):
+        code, out, err = run(capsys, "infer", NET, "--method", method, "--query", query, "--evidence", evidence)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_enumeration_bound_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "chain3.json"
         save_network(three_state_chain(14), path)
@@ -373,6 +386,26 @@ class TestSolve:
         assert errs["enumeration"] == errs["elimination"]
         assert errs["worlds"] == "error: ZeroProbabilityEvidence: evidence ['x(e,a)=false'] has probability 0\n"
 
+    def test_contradictory_evidence_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "both.pl"
+        path.write_text(
+            "0.2::x(e,a); 0.3::x(e,b); 0.5::x(e,c).\n0.5::y(e).\n"
+            "evidence(x(e,a), true).\nevidence(x(e,b), true).\nquery(y(e)).\n",
+            encoding="utf-8",
+        )
+        for method in ("enumeration", "elimination", "worlds"):
+            code, out, err = run(capsys, "solve", str(path), "--method", method)
+            assert (code, out) == (1, ""), method
+            assert err.startswith("error: ZeroProbabilityEvidence: "), method
+
+    @pytest.mark.parametrize("method", ["enumeration", "elimination", "worlds"])
+    def test_undefined_query_atom_is_refused(self, capsys, tmp_path, method):
+        path = tmp_path / "undefined.pl"
+        path.write_text("0.5::a(e).\nquery(z(e)).\n", encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(path), "--method", method)
+        assert (code, out) == (1, "")
+        assert err == "error: UnknownClause: atom z(e) does not match any defined atom\n"
+
     def test_worlds_refuses_a_wide_program(self, capsys, tmp_path):
         path = tmp_path / "wide.pl"
         path.write_text(WIDE_PROGRAM_TEXT, encoding="utf-8")
@@ -409,6 +442,22 @@ class TestTranslation:
         code, out, _ = run(capsys, "to-problog", NET, "--entity", "subject")
         assert code == 0
         assert "gallstones(subject)" in out
+
+    def test_to_problog_refuses_an_empty_entity(self, capsys):
+        code, out, err = run(capsys, "to-problog", NET, "--entity", "")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: UnrepresentableName: constant '' cannot be written: empty, or holds a quote or a newline\n"
+        )
+
+    def test_round_trip_keeps_parent_order(self, capsys, tmp_path, unsorted_parents_net):
+        save_network(unsorted_parents_net, tmp_path / "order.json")
+        assert run(capsys, "to-problog", str(tmp_path / "order.json"), "-o", str(tmp_path / "order.pl"))[0] == 0
+        code, _, _ = run(
+            capsys, "from-problog", str(tmp_path / "order.pl"), "--name", "order", "-o", str(tmp_path / "back.json")
+        )
+        assert code == 0
+        assert (tmp_path / "back.json").read_bytes() == (tmp_path / "order.json").read_bytes()
 
     def test_from_problog(self, capsys, tmp_path, program_file):
         out_path = tmp_path / "net.json"
@@ -752,6 +801,14 @@ class TestNumericFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "baseline"])
+    def test_bad_bucket_edges_are_a_usage_error(self, capsys, tmp_path, command):
+        argv = [command, str(tmp_path / "dataset.jsonl")] + ([str(tmp_path / "p.jsonl")] if command == "score" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--buckets", "5,ten"])
+        assert exc.value.code == 2
+        assert "argument --buckets: expected comma-separated integers, got '5,ten'" in capsys.readouterr().err
 
     def test_zero_precision(self, capsys):
         code, out, _ = run(capsys, "--precision", "0", "wep", "--phrase", "almost certain")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -216,6 +217,33 @@ class TestElimination:
             masked_posterior(net, "nope", {})
         with pytest.raises(UnknownState):
             masked_posterior(net, "a", {"b": "maybe"})
+
+
+@pytest.mark.parametrize("engine", [conditional_query, eliminate], ids=["enumeration", "elimination"])
+@pytest.mark.parametrize(
+    "query, evidence, error, message",
+    [
+        # the query's name and state first, then the evidence, then the overlap
+        (("nope", "t"), {"nope": "f"}, UnknownVariable, "unknown variable 'nope'"),
+        (("a", "bad"), {"b": "worse"}, UnknownState, "variable 'a' has no state 'bad' (states: t, f)"),
+        (("a", "t"), {"b": "worse", "a": "f"}, UnknownState, "variable 'b' has no state 'worse' (states: t, f)"),
+        (("a", "t"), {"a": "f"}, QueryEvidenceOverlap, "query variable 'a' also appears in evidence"),
+    ],
+    ids=["query-variable", "query-state", "evidence", "overlap"],
+)
+def test_one_query_check_for_both_engines(engine, query, evidence, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        engine(_chain(), *query, evidence)
+
+
+def test_wide_chain_with_few_free_variables():
+    # 70 variables, 67 of them evidence: 27 worlds to walk, but more
+    # variables than a numpy array has axes
+    ev = {f"v{i}": "s1" for i in range(67)}
+    net = three_state_chain(70)
+    by_sweep = conditional_query(net, "v69", "s0", ev).probability
+    by_elim = eliminate(net, "v69", "s0", ev).probability
+    assert by_sweep == by_elim == float.fromhex("0x1.999999999999bp-3")
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,16 @@ class TestValidate:
         net.variables["a"] = Variable(id="other", name="a", states=("t", "f"))
         assert any(v.kind == "variable" for v in validate(net))
 
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            ({"": (("t", "f"), (), {(): (0.5, 0.5)})}, "empty variable id"),
+            ({"a": (("t", ""), (), {(): (0.5, 0.5)})}, "empty state name"),
+        ],
+    )
+    def test_empty_names(self, tables, message):
+        assert [(v.kind, v.message) for v in validate(make_network("empty", tables))] == [("variable", message)]
+
     def test_cpt_bookkeeping_problems(self):
         net = _chain()
         del net.cpts["c"]
@@ -292,6 +302,47 @@ class TestFileFormat:
             ],
         }
         with pytest.raises(NetworkFormatError, match=f"^cpt\\[b\\]: {message}$"):
+            network_from_dict(doc)
+
+    @staticmethod
+    def _tiny() -> dict:
+        return {
+            "name": "tiny",
+            "variables": [{"id": "a", "states": ["t", "f"]}, {"id": "b", "states": ["t", "f"]}],
+            "cpts": [
+                {"variable": "a", "parents": [], "rows": [{"given": {}, "p": [0.5, 0.5]}]},
+                {"variable": "b", "parents": ["a"], "rows": [
+                    {"given": {"a": "t"}, "p": [0.9, 0.1]}, {"given": {"a": "f"}, "p": [0.2, 0.8]},
+                ]},
+            ],
+        }
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(entity=""), "entity must be a nonempty string"),
+            (lambda d: d["variables"].append(["c"]), "variable records must be objects"),
+            (lambda d: d["variables"].append({"states": ["t", "f"]}), "variable record with bad id: {'states': ['t', 'f']}"),
+            (lambda d: d["variables"][0].update(name=5), "variable 'a': name must be a string"),
+            (lambda d: d.pop("cpts"), "missing cpt list"),
+            (lambda d: d["cpts"].append("c"), "cpt records must be objects"),
+            (lambda d: d["cpts"].append({"variable": "ghost"}), "cpt record for unknown variable 'ghost'"),
+            (lambda d: d["cpts"][1].update(parents="a"), "cpt[b]: parents must be a list of variable ids"),
+            (lambda d: d["cpts"][1].update(rows=[]), "cpt[b]: missing rows"),
+            (lambda d: d["cpts"][1]["rows"].append({"given": {"a": "t"}}), "cpt[b]: row records need 'given' and 'p'"),
+            (lambda d: d["cpts"][1]["rows"].append(dict(d["cpts"][1]["rows"][0])), "cpt[b]: duplicate row for (a=t)"),
+            (lambda d: d["cpts"][0]["rows"].append(dict(d["cpts"][0]["rows"][0])), "cpt[a]: duplicate row for ()"),
+        ],
+        ids=[
+            "entity", "variable-record", "variable-id", "variable-name", "cpt-list", "cpt-record",
+            "cpt-variable", "parents", "rows", "row-record", "duplicate-row", "duplicate-root-row",
+        ],
+    )
+    def test_schema_error_messages(self, edit, message):
+        doc = self._tiny()
+        network_from_dict(doc)  # the unedited document is valid
+        edit(doc)
+        with pytest.raises(NetworkFormatError, match=f"^{re.escape(message)}$"):
             network_from_dict(doc)
 
     def test_unreadable_input(self, tmp_path):

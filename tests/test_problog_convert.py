@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 import numpy as np
@@ -13,10 +12,19 @@ from hypothesis import strategies as st
 import netgen
 from bayesqa.dataset import NetworkEncoder
 from bayesqa.errors import UnknownClause, UnrepresentableName, UnsupportedFragment
-from bayesqa.model import BayesianNetwork, Cpt, Variable, make_network, network_to_dict, validate
+from bayesqa.model import (
+    ROW_SUM_TOLERANCE,
+    BayesianNetwork,
+    Cpt,
+    Variable,
+    assignment_grid,
+    make_network,
+    network_to_dict,
+    validate,
+)
 from bayesqa.problog import Atom, bn_to_problog, parse, problog_to_bn, serialize
 from bayesqa.problog.convert import BINARY_STATES, atom_for, compile_program
-from bayesqa.problog.syntax import Clause, Literal, ProbHead, ProblogProgram
+from bayesqa.problog.syntax import Clause, Literal, ProbHead, ProblogProgram, validate_program
 from conftest import GALLSTONE_TEXT
 
 
@@ -91,19 +99,23 @@ VARIABLE_IDS = st.sampled_from(_IDENTIFIERS) | st.sampled_from(_IDENTIFIERS + ("
 
 @st.composite
 def named_networks(draw) -> BayesianNetwork:
-    """2-5 variables with drawn names; two-state variables keep ("true", "false")
-    and parents are sorted, the decoder's canonical forms."""
+    """2-5 variables with drawn names and parents in drawn order; two-state
+    variables keep ("true", "false"), the decoder's canonical form. The
+    entity may be empty, which the writer refuses."""
 
     ids = draw(st.lists(VARIABLE_IDS, min_size=2, max_size=5, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    net = BayesianNetwork(name="named", entity=draw(NAME_TEXT))
+    net = BayesianNetwork(name="named", entity=draw(st.just("") | NAME_TEXT))
     for i, vid in enumerate(ids):
         k = draw(st.integers(2, 4))
         states = BINARY_STATES if k == 2 else tuple(draw(st.lists(NAME_TEXT, min_size=k, max_size=k, unique=True)))
-        parent_ids = tuple(sorted(draw(st.lists(st.sampled_from(ids[:i]), max_size=2, unique=True)))) if i else ()
-        grid = itertools.product(*(net.states(p) for p in parent_ids))
+        parent_ids = tuple(draw(st.lists(st.sampled_from(ids[:i]), max_size=2, unique=True))) if i else ()
         net.variables[vid] = Variable(id=vid, name=vid, states=states)
-        net.cpts[vid] = Cpt(variable=vid, parents=parent_ids, rows={key: netgen.grid_row(rng, k) for key in grid})
+        net.cpts[vid] = Cpt(
+            variable=vid,
+            parents=parent_ids,
+            rows={key: netgen.grid_row(rng, k) for key in assignment_grid(net, parent_ids)},
+        )
     return net
 
 
@@ -130,6 +142,13 @@ class TestDecode:
         assert gallstone_net.cpts["amylase"].parents == ("gallstones",)
         assert gallstone_net.cpts["gallstones"].rows[()] == (0.1531, 1.0 - 0.1531)
         assert gallstone_net.cpts["amylase"].rows[("true",)] == (0.9346, 0.0467, 0.0187)
+
+    def test_parents_keep_their_order(self, unsorted_parents_net):
+        # the bodies name b_2 before a, so the decoded CPT does too
+        net = unsorted_parents_net
+        again = problog_to_bn(parse(serialize(bn_to_problog(net))), name=net.name)
+        assert again.cpts["xY"].parents == ("b_2", "a")
+        assert network_to_dict(again) == network_to_dict(net)
 
     def test_round_trip_is_exact_on_generated_networks(self):
         rng = np.random.default_rng(99)
@@ -184,6 +203,24 @@ class TestFragmentRejection:
     def test_rejected_programs(self, text, hint):
         with pytest.raises(UnsupportedFragment, match=hint):
             problog_to_bn(parse(text))
+
+    def test_predicate_used_inconsistently(self):
+        # a(e) loses its shared entity and becomes the id of the bare atom a
+        with pytest.raises(UnsupportedFragment, match=r"^predicate\(s\) used inconsistently: a$"):
+            problog_to_bn(parse("0.5::a(e).\n0.5::a."))
+
+    @pytest.mark.parametrize("over, refused", [(0.5, False), (2.0, True)])
+    def test_head_mass_slack_is_the_row_sum_tolerance(self, over, refused):
+        # the decoder and validate_program read the same slack
+        program = ProblogProgram(clauses=(Clause((
+            ProbHead(0.5, Atom("x", ("e", "a"))), ProbHead(0.5 + over * ROW_SUM_TOLERANCE, Atom("x", ("e", "b"))),
+        )),))
+        assert bool(validate_program(program)) is refused
+        if refused:
+            with pytest.raises(UnsupportedFragment, match=r"^head probabilities for x\(e,_\) sum to .*, not 1$"):
+                compile_program(program)
+        else:
+            compile_program(program)
 
     def test_cyclic_dependency_rejected(self):
         text = (
@@ -305,6 +342,12 @@ class TestParentGrid:
         )
         net = problog_to_bn(parse(text))
         assert net.cpts["y"].rows == {("a",): (0.25, 0.75), ("b",): (0.5, 0.5), ("c",): (0.75, 0.25)}
+
+    def test_root_overlap_names_the_empty_assignment(self):
+        with pytest.raises(
+            UnsupportedFragment, match=r"^a: clause 1 and clause 2 overlap on parent assignment \(\)$"
+        ):
+            problog_to_bn(parse("0.3::a(e).\n0.4::a(e).\nquery(a(e))."))
 
     def test_overlap_lists_every_covering_clause_in_order(self):
         text = self.GROUP + (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ import netgen
 from bayesqa import inference
 from bayesqa.errors import (
     EnumerationBoundExceeded,
+    UnknownClause,
     UnstratifiedNegation,
     UnsupportedFragment,
     ZeroProbabilityEvidence,
@@ -83,6 +86,16 @@ class TestEvaluate:
         for method in ("enumeration", "elimination"):
             with pytest.raises(ZeroProbabilityEvidence):
                 evaluate(parse(text), method=method)
+
+    @pytest.mark.parametrize("method", ["enumeration", "elimination"])
+    def test_contradictory_evidence_on_one_variable(self, method):
+        # two true states of one disjunction leave no allowed state at all
+        text = (
+            "0.2::x(e,a); 0.3::x(e,b); 0.5::x(e,c).\n0.5::y(e).\n"
+            "evidence(x(e,a), true).\nevidence(x(e,b), true).\nquery(y(e)).\n"
+        )
+        with pytest.raises(ZeroProbabilityEvidence, match=r"^evidence \{'x': \[\]\} has probability 0$"):
+            evaluate(parse(text), method=method)
 
 
 class TestEnumerateWorlds:
@@ -202,6 +215,29 @@ class TestEnumerateWorlds:
         with pytest.raises(UnsupportedFragment) as err:
             enumerate_worlds(parse("0.7::a; 0.7::b.\nquery(a)."))
         assert str(err.value) == "clause 1 (0.7::a; 0.7::b.): head probabilities sum to 1.4 > 1"
+
+
+class TestUndefinedAtoms:
+    """Every method refuses an atom that no clause head defines, in the
+    decoder's words, before it answers anything."""
+
+    @pytest.mark.parametrize("method", ["enumeration", "elimination", "worlds"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5::a(e).\nquery(z(e)).", "atom z(e) does not match any defined atom"),
+            ("0.8::a(e).\nevidence(z(e), false).\nquery(a(e)).", "atom z(e) does not match any defined atom"),
+            (
+                "0.5::a(e) :- q(e).\n0.5::a(e) :- not q(e).\nquery(a(e)).",
+                "atom q(e) in clause 1 is not defined by any clause",
+            ),
+        ],
+        ids=["query", "evidence", "body"],
+    )
+    def test_refused_by_every_method(self, method, text, message):
+        program = parse(text)
+        with pytest.raises(UnknownClause, match=f"^{re.escape(message)}$"):
+            enumerate_worlds(program) if method == "worlds" else evaluate(program, method=method)
 
 
 class TestEngineAgreement:

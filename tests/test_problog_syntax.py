@@ -24,13 +24,15 @@ from bayesqa.problog.syntax import format_clause, format_constant
 
 
 class TestAstInvariants:
+    # an Atom checks no name; the serializer is the one place a name is refused
     def test_atom_requires_predicate(self):
-        with pytest.raises(ValueError):
-            Atom("")
+        with pytest.raises(UnrepresentableName, match=r"^predicate '' cannot be written"):
+            format_atom(Atom(""))
 
     def test_atom_rejects_empty_argument(self):
-        with pytest.raises(ValueError):
-            Atom("p", ("",))
+        program = ProblogProgram(queries=(Query(Atom("p", ("",))),))
+        with pytest.raises(UnrepresentableName, match=r"^constant '' cannot be written"):
+            serialize(program)
 
     def test_head_probability_range(self):
         with pytest.raises(ValueError):
