@@ -2,12 +2,15 @@
 
 Two independent engines answer the same questions:
 
-* enumeration — a direct sum over completions of the chain-rule product.
+* enumeration — the constrained joint as one numpy array, one axis per
+  variable the constraints leave a choice, filled by the chain-rule product
+  in topological order and summed with ``cumsum``, which adds in the order of
+  a walk over the completions, so each answer has the bits of that walk.
   Simple enough to audit by hand; exponential in the number of free
   variables, so it doubles as the oracle for everything else. The one sweep
   is :func:`constrained_sweep`; :func:`joint_probability`, :func:`marginal`
-  and :func:`conditional_query` are thin wrappers over it. It walks at most
-  :data:`MAX_JOINT_STATES` assignments and refuses larger spaces up front.
+  and :func:`conditional_query` are thin wrappers over it. Its array holds at
+  most :data:`MAX_JOINT_STATES` entries; larger spaces are refused up front.
 * variable elimination — numpy factor tables, min-degree elimination order
   with lexicographic tie-breaking. Exact, and fast enough for the network
   sizes this package targets. :func:`masked_posterior` returns the
@@ -29,7 +32,6 @@ for them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
@@ -68,13 +70,14 @@ class QueryResult:
 class CompiledNetwork:
     """Integer-indexed form of a network, read by both engines.
 
-    ``rows[i]`` holds the stored CPT rows of ``order[i]`` (topological) in
-    :func:`parent_assignments` order; ``strides[i]`` maps parent states to a row.
-    The form never changes once built, so one form can answer any number of
-    queries on its network; :func:`compile_network` makes one.
+    ``tables[i]`` is the CPT of ``order[i]`` (topological) as a read-only 2-D
+    float array, one row per parent assignment in :func:`parent_assignments`
+    order and one column per state; ``strides[i]`` maps parent states to a
+    row. The form never changes once built, so one form can answer any number
+    of queries on its network; :func:`compile_network` makes one.
     """
 
-    __slots__ = ("network", "order", "pos", "card", "parent_pos", "strides", "rows", "_factors", "_moral")
+    __slots__ = ("network", "order", "pos", "card", "parent_pos", "strides", "tables", "_factors", "_moral")
 
     def __init__(self, network: BayesianNetwork):
         self.network = network
@@ -83,7 +86,7 @@ class CompiledNetwork:
         self.card: dict[str, int] = {}
         self.parent_pos: list[tuple[int, ...]] = []
         self.strides: list[tuple[int, ...]] = []
-        self.rows: list[list[tuple[float, ...]]] = []
+        self.tables: list[np.ndarray] = []
         for i, v in enumerate(self.order):
             cpt = network.cpts[v]
             self.pos[v] = i
@@ -92,7 +95,9 @@ class CompiledNetwork:
             # row-major strides; parents precede v, so their card is already set
             ps = cpt.parents
             self.strides.append(tuple(math.prod(self.card[q] for q in ps[j + 1 :]) for j in range(len(ps))))
-            self.rows.append([cpt.rows[key] for key in parent_assignments(network, v)])
+            table = np.array([cpt.rows[key] for key in parent_assignments(network, v)])
+            table.setflags(write=False)  # the elimination factors are views of it
+            self.tables.append(table)
         self._factors: tuple[_Factor, ...] | None = None
         self._moral: dict[str, frozenset[str]] | None = None
 
@@ -106,7 +111,7 @@ class CompiledNetwork:
             for v in self.network.variables:
                 scope = self.network.cpts[v].parents + (v,)
                 axes = tuple(sorted(scope))
-                table = np.array(self.rows[self.pos[v]]).reshape([self.card[u] for u in scope])
+                table = self.tables[self.pos[v]].reshape([self.card[u] for u in scope])
                 out.append(_Factor(axes, np.ascontiguousarray(table.transpose([scope.index(u) for u in axes]))))
             self._factors = tuple(out)
         return self._factors
@@ -170,18 +175,6 @@ def _conditionals(constraints: Constraints, mass: float, parts: Iterable[float])
 # ---------------------------------------------------------------------------
 
 
-def _chain_product(c: CompiledNetwork, world: Sequence[int]) -> float:
-    p = 1.0
-    for i in range(len(world)):
-        row = 0
-        for ppos, stride in zip(c.parent_pos[i], c.strides[i]):
-            row += world[ppos] * stride
-        p *= c.rows[i][row][world[i]]
-        if p == 0.0:
-            return 0.0
-    return p
-
-
 def joint_probability(network: BayesianNetwork, assignment: Mapping[str, str]) -> float:
     """Chain-rule probability of a *full* assignment."""
 
@@ -231,10 +224,15 @@ def constrained_sweep(
     Returns ``(mass, per_target_mass)``: the total probability of worlds
     satisfying every constraint, and for each ``(variable, state)`` target the
     portion of that mass where the variable also takes the given state.
-    Numerators are accumulated alongside the denominator so target/total
-    ratios are exact conditional probabilities. Raises
-    :class:`EnumerationBoundExceeded`, before the first world, when the
-    constraints leave more than :data:`MAX_JOINT_STATES` assignments.
+    The constrained joint is one array with an axis per variable left more
+    than one state, in topological order, and each entry is the chain-rule
+    product taken in that order. ``cumsum`` adds the entries one after
+    another in C order, which is the order of a walk over the worlds with the
+    earliest variable varying slowest, and each target sums its slice the same
+    way, so target/total ratios are exact conditional probabilities with the
+    bits of that walk. Raises :class:`EnumerationBoundExceeded`, before the
+    array is allocated, when the constraints leave more than
+    :data:`MAX_JOINT_STATES` assignments.
     """
 
     c = CompiledNetwork(network)
@@ -248,18 +246,41 @@ def constrained_sweep(
             f"enumeration would walk {joint} joint states, more than the bound of "
             f"{MAX_JOINT_STATES}; use --method elimination"
         )
+    if joint == 0:
+        return 0.0, [0.0] * len(target_idx)
 
-    total = 0.0
-    nums = [0.0] * len(target_idx)
-    for world in itertools.product(*allowed_idx):
-        p = _chain_product(c, world)
-        if p == 0.0:
-            continue
-        total += p
-        for k, (state, pos) in enumerate(target_idx):
-            if world[pos] == state:
-                nums[k] += p
+    # a variable with one allowed state is a plain index, not an axis: numpy
+    # allows 64 axes, and evidence may fix many more variables than that
+    free = [i for i, idx in enumerate(allowed_idx) if len(idx) > 1]
+    axis = {i: a for a, i in enumerate(free)}
+    grid: list[int | np.ndarray] = [idx[0] for idx in allowed_idx]
+    for i, a in axis.items():
+        shape = [1] * len(free)
+        shape[a] = -1
+        grid[i] = np.array(allowed_idx[i]).reshape(shape)
+    p = 1.0
+    for i, table in enumerate(c.tables):
+        row = sum(grid[q] * stride for q, stride in zip(c.parent_pos[i], c.strides[i]))
+        p = p * table[row, grid[i]]
+
+    total = _sequential_sum(p)
+    nums = []
+    for state, pos in target_idx:
+        if state not in allowed_idx[pos]:
+            nums.append(0.0)
+        elif pos in axis:
+            nums.append(_sequential_sum(p.take(allowed_idx[pos].index(state), axis=axis[pos])))
+        else:
+            nums.append(total)
     return total, nums
+
+
+def _sequential_sum(values: np.ndarray | np.float64) -> float:
+    """The entries of ``values`` added one at a time in C order, from +0.0,
+    so a sum of signed zeros is +0.0; ``np.sum`` adds pairwise and would
+    round differently."""
+
+    return float(values.cumsum()[-1]) + 0.0
 
 
 # ---------------------------------------------------------------------------

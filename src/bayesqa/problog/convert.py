@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from ..errors import NetworkFormatError, UnknownClause, UnsupportedFragment
 from ..model import (
@@ -223,11 +223,7 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
             constraints = compiled.conjunction((lit.atom, not lit.negated) for lit in clause.body)
         except UnknownClause:
             atom = next(lit.atom for lit in clause.body if lit.atom not in compiled.atoms)
-            if atom.args and (atom.predicate, atom.args[:-1]) in states:
-                problem = f"names undefined state {atom.args[-1]!r}"
-            else:
-                problem = "is not defined by any clause"
-            raise UnknownClause(f"atom {format_atom(atom)} in clause {ci + 1} {problem}") from None
+            raise undefined_body_atom(atom, ci + 1, states) from None
         clause_rows[key].append((ci, constraints, tuple(dist.get(s, 0.0) for s in states[key])))
 
     # pass 3: per variable, the bodies must partition the parent grid
@@ -240,6 +236,18 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
     except NetworkFormatError as exc:
         raise UnsupportedFragment(f"program does not encode a valid network: [cycle] network: {exc}") from None
     return compiled
+
+
+def undefined_body_atom(atom: Atom, clause_no: int, groups: Container[object]) -> UnknownClause:
+    """The one wording, for every solve method, of a body atom that no head
+    defines; ``groups`` holds the ``(predicate, args[:-1])`` of each
+    annotated disjunction, whose unknown last argument is an undefined state."""
+
+    if atom.args and (atom.predicate, atom.args[:-1]) in groups:
+        problem = f"names undefined state {atom.args[-1]!r}"
+    else:
+        problem = "is not defined by any clause"
+    return UnknownClause(f"atom {format_atom(atom)} in clause {clause_no} {problem}")
 
 
 def _partition(

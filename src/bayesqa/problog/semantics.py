@@ -25,7 +25,7 @@ from ..errors import (
     ZeroProbabilityEvidence,
 )
 from ..inference import _conditionals, compile_network, constrained_sweep, posterior
-from .convert import compile_program
+from .convert import compile_program, undefined_body_atom
 from .syntax import Atom, ProblogProgram, format_atom, validate_program
 
 
@@ -82,10 +82,13 @@ def enumerate_worlds(program: ProblogProgram) -> dict[Atom, float]:
     if problems:
         raise UnsupportedFragment(problems[0])
     defined = {h.atom for clause in program.clauses for h in clause.heads}
+    groups = {
+        (h.atom.predicate, h.atom.args[:-1]) for c in program.clauses if len(c.heads) > 1 for h in c.heads if h.atom.args
+    }
     for ci, clause in enumerate(program.clauses):
         for lit in clause.body:
             if lit.atom not in defined:
-                raise UnknownClause(f"atom {format_atom(lit.atom)} in clause {ci + 1} is not defined by any clause")
+                raise undefined_body_atom(lit.atom, ci + 1, groups)
     for atom in [e.atom for e in program.evidence] + [q.atom for q in program.queries]:
         if atom not in defined:
             raise UnknownClause(f"atom {format_atom(atom)} does not match any defined atom")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,13 +133,17 @@ class TestEnumeration:
 
 
 class TestSweepBound:
-    def test_refuses_by_size_before_the_first_world(self, monkeypatch):
-        def walked(*_):
-            raise AssertionError("the sweep visited a world")
-
-        monkeypatch.setattr(inference, "_chain_product", walked)
-        with pytest.raises(EnumerationBoundExceeded) as info:
-            conditional_query(three_state_chain(14), "v13", "s0", {})
+    def test_refuses_by_size_before_the_first_world(self):
+        # the joint array would take 38 MB; the refusal must come before it
+        net = three_state_chain(14)
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBoundExceeded) as info:
+                conditional_query(net, "v13", "s0", {})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
         assert str(info.value) == (
             "enumeration would walk 4782969 joint states, more than the bound of 1048576;"
             " use --method elimination"
@@ -302,38 +307,87 @@ class TestPinnedBits:
     """
 
     @staticmethod
-    def _sums(net, fixed, query=None):
+    def _sums(net, constraints, targets=()):
+        """The sweep written out as a walk: the total and each target's mass,
+        one world at a time, states in declaration order."""
+
         order = topological_order(net)
-        free = [v for v in order if v not in fixed]
-        num = den = 0.0
-        for combo in itertools.product(*(net.states(v) for v in free)):
-            world = {**fixed, **dict(zip(free, combo))}
+        allowed = []
+        for v in order:
+            a = constraints.get(v)
+            a = net.states(v) if a is None else {a} if isinstance(a, str) else a
+            allowed.append([s for s in net.states(v) if s in a])
+        den = 0.0
+        nums = [0.0] * len(targets)
+        for combo in itertools.product(*allowed):
+            world = dict(zip(order, combo))
             p = 1.0
             for v in order:
                 cpt = net.cpts[v]
                 row = cpt.rows[tuple(world[u] for u in cpt.parents)]
                 p *= row[net.states(v).index(world[v])]
             den += p
-            if query is not None and world[query[0]] == query[1]:
-                num += p
-        return num, den
+            for k, (v, s) in enumerate(targets):
+                if world[v] == s:
+                    nums[k] += p
+        return den, nums
 
     def test_randomized_networks(self):
         rng = np.random.default_rng(4242)
         for i in range(200):
             net = netgen.random_network(rng, name=f"bits{i}", max_vars=6)
             qv, qs, ev = netgen.random_point_query(rng, net)
-            num, den = self._sums(net, ev, (qv, qs))
+            den, (num,) = self._sums(net, ev, [(qv, qs)])
             assert conditional_query(net, qv, qs, ev).probability == num / den, net.name
             assert marginal(net, ev) == den, net.name
 
             full = {v: net.states(v)[int(rng.integers(len(net.states(v))))] for v in net.variables}
-            assert joint_probability(net, full) == self._sums(net, full)[1], net.name
+            assert joint_probability(net, full) == self._sums(net, full)[0], net.name
 
             values = masked_posterior(net, qv, ev)
             want = float(values[net.states(qv).index(qs)]) / float(values.sum())
             got = eliminate(net, qv, qs, ev).probability
             assert type(got) is float and got == want, net.name
+
+    def test_sweep_against_the_walk(self):
+        rng = np.random.default_rng(1717)
+        for i in range(1000):
+            net = netgen.random_network(rng, name=f"sweep{i}", max_vars=7)
+            if i % 2:
+                net = netgen.with_zeros(rng, net)
+            _, _, ev = netgen.random_point_query(rng, net)
+            constraints = {
+                v: s if rng.random() < 0.5 else {t for t in net.states(v) if t == s or rng.random() < 0.5}
+                for v, s in ev.items()
+            }
+            ids = sorted(net.variables)
+            if i == 0:
+                constraints[ids[0]] = set()
+            targets = [
+                (v, net.states(v)[int(rng.integers(len(net.states(v))))])
+                for v in (ids[int(k)] for k in rng.integers(len(ids), size=1 + int(rng.integers(4))))
+            ]
+            den, nums = self._sums(net, constraints, targets)
+            total, parts = constrained_sweep(net, constraints, targets)
+            assert [total.hex(), *map(float.hex, parts)] == [den.hex(), *map(float.hex, nums)], net.name
+
+    def test_negative_zero_entries_sum_to_zero(self):
+        # a stored -0.0 passes validation; the walk starts from +0.0
+        net = make_network("nz", {
+            "a": (("t", "f"), (), {(): (-0.0, 1.0)}),
+            "b": (("t", "f"), ("a",), {("t",): (0.5, 0.5), ("f",): (0.25, 0.75)}),
+        })
+        targets = [("a", "t"), ("b", "t")]
+        total, parts = constrained_sweep(net, {}, targets)
+        den, nums = self._sums(net, {}, targets)
+        assert [total.hex(), *map(float.hex, parts)] == [den.hex(), *map(float.hex, nums)]
+        assert conditional_query(net, "a", "t", {"b": "t"}).probability.hex() == "0x0.0p+0"
+
+    def test_long_sum_keeps_its_drift(self):
+        # 177,147 worlds added one at a time drift from 0.2; pairwise
+        # summation would land elsewhere
+        got = conditional_query(three_state_chain(13), "v12", "s0", {"v0": "s1"}).probability
+        assert got.hex() == "0x1.9999999998111p-3"
 
     @staticmethod
     def _eliminated(net, target, constraints):

@@ -231,8 +231,12 @@ class TestUndefinedAtoms:
                 "0.5::a(e) :- q(e).\n0.5::a(e) :- not q(e).\nquery(a(e)).",
                 "atom q(e) in clause 1 is not defined by any clause",
             ),
+            (
+                "0.5::x(e,a); 0.5::x(e,b).\n0.5::y(e) :- x(e,c).\n0.5::y(e) :- not x(e,c).\nquery(y(e)).",
+                "atom x(e,c) in clause 2 names undefined state 'c'",
+            ),
         ],
-        ids=["query", "evidence", "body"],
+        ids=["query", "evidence", "body", "state"],
     )
     def test_refused_by_every_method(self, method, text, message):
         program = parse(text)
