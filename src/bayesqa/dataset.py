@@ -35,8 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NetworkFormatError, QueryEvidenceOverlap, UnsatisfiableEvidence, ZeroProbabilityEvidence
-from .inference import CompiledNetwork, compile_network, eliminate
+from .errors import NetworkFormatError, UnsatisfiableEvidence, ZeroProbabilityEvidence
+from .inference import CompiledNetwork, _check_overlap, compile_network, eliminate
 from .model import (
     BayesianNetwork,
     children,
@@ -268,8 +268,7 @@ def classify_reasoning(
     qparents = set(parents(network, query_var))
     for var in sorted(ev):
         network.states(var)  # an unknown variable fails here, as in the engines
-    if query_var in ev:
-        raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
+    _check_overlap(query_var, ev)
     qchildren = set(children(network, query_var))
 
     found = set()

@@ -21,20 +21,20 @@ Both engines read one compiled form of the network and take evidence and
 targets through one validator. Evidence maps a variable to a state or to a
 *set* of allowed states, which conditioning on a negated program atom needs.
 
-:func:`compile_network` builds that form once; :func:`masked_posterior`,
-:func:`posterior` and :func:`eliminate` take either a network, which they
-compile per call, or a compiled form, which a caller asking many queries of
-one network (dataset generation, subnetwork extraction, program evaluation)
-builds once and passes to each. The elimination factors and the moral graph
-are built on the form's first elimination, so an enumeration sweep never pays
-for them.
+:func:`compile_network` builds that form once; :func:`constrained_sweep`,
+:func:`masked_posterior`, :func:`posterior` and :func:`eliminate` take either
+a network, which they compile per call, or a compiled form, which a caller
+asking many queries of one network (dataset generation, subnetwork
+extraction, program evaluation) builds once and passes to each. The
+elimination factors and the moral graph are built on the form's first
+elimination, so an enumeration sweep never pays for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .errors import (
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import BayesianNetwork, parent_assignments, state_index, topological_order
+from .model import BayesianNetwork, Variable, parent_assignments, state_index, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
@@ -101,6 +101,15 @@ class CompiledNetwork:
         self._factors: tuple[_Factor, ...] | None = None
         self._moral: dict[str, frozenset[str]] | None = None
 
+    # a network's read API, so that code reading the argument of an engine
+    # call as a network (qabench's traced world counter) can take a form
+    @property
+    def variables(self) -> dict[str, Variable]:
+        return self.network.variables
+
+    def states(self, variable: str) -> tuple[str, ...]:
+        return self.network.states(variable)
+
     def factors(self) -> tuple[_Factor, ...]:
         """One factor per CPT, in declaration order, axes sorted; built on
         first use. Elimination only reads them: every product and sum makes a
@@ -154,9 +163,16 @@ def _check_query(network: BayesianNetwork, query_var: str, query_state: str, evi
     """Check the query, then the evidence, then their overlap; return the query state's index."""
 
     [(_, (qstate,)), *_] = _normalize_constraints(network, [(query_var, query_state), *evidence.items()])
-    if query_var in evidence:
-        raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
+    _check_overlap(query_var, evidence)
     return qstate
+
+
+def _check_overlap(query_var: str, evidence_vars: Container[str]) -> None:
+    """The one rule, for the engines and :func:`dataset.classify_reasoning`,
+    that a query variable is not also evidence."""
+
+    if query_var in evidence_vars:
+        raise QueryEvidenceOverlap(f"query variable {query_var!r} also appears in evidence")
 
 
 def _conditionals(constraints: Constraints, mass: float, parts: Iterable[float]) -> list[float]:
@@ -215,7 +231,7 @@ def conditional_query(
 
 
 def constrained_sweep(
-    network: BayesianNetwork,
+    network: BayesianNetwork | CompiledNetwork,
     constraints: Constraints,
     targets: Sequence[tuple[str, str]],
 ) -> tuple[float, list[float]]:
@@ -226,20 +242,21 @@ def constrained_sweep(
     portion of that mass where the variable also takes the given state.
     The constrained joint is one array with an axis per variable left more
     than one state, in topological order, and each entry is the chain-rule
-    product taken in that order. ``cumsum`` adds the entries one after
-    another in C order, which is the order of a walk over the worlds with the
-    earliest variable varying slowest, and each target sums its slice the same
-    way, so target/total ratios are exact conditional probabilities with the
-    bits of that walk. Raises :class:`EnumerationBoundExceeded`, before the
-    array is allocated, when the constraints leave more than
+    product taken in that order, multiplied into the array in place so that
+    it is the one full-size array the sweep holds. The entries are added one
+    after another in C order, which is the order of a walk over the worlds
+    with the earliest variable varying slowest, and each target sums its slice
+    the same way, so target/total ratios are exact conditional probabilities
+    with the bits of that walk. Raises :class:`EnumerationBoundExceeded`,
+    before the array is allocated, when the constraints leave more than
     :data:`MAX_JOINT_STATES` assignments.
     """
 
-    c = CompiledNetwork(network)
+    c = compile_network(network)
     allowed_idx: list[Sequence[int]] = [range(c.card[v]) for v in c.order]
-    for var, idx in _normalize_constraints(network, constraints.items()):
+    for var, idx in _normalize_constraints(c.network, constraints.items()):
         allowed_idx[c.pos[var]] = idx
-    target_idx = [(state, c.pos[v]) for v, (state,) in _normalize_constraints(network, targets)]
+    target_idx = [(state, c.pos[v]) for v, (state,) in _normalize_constraints(c.network, targets)]
     joint = math.prod(len(idx) for idx in allowed_idx)
     if joint > MAX_JOINT_STATES:
         raise EnumerationBoundExceeded(
@@ -258,10 +275,10 @@ def constrained_sweep(
         shape = [1] * len(free)
         shape[a] = -1
         grid[i] = np.array(allowed_idx[i]).reshape(shape)
-    p = 1.0
+    p = np.ones([len(allowed_idx[i]) for i in free])  # 1.0 * x is x, bit for bit
     for i, table in enumerate(c.tables):
         row = sum(grid[q] * stride for q, stride in zip(c.parent_pos[i], c.strides[i]))
-        p = p * table[row, grid[i]]
+        p *= table[row, grid[i]]
 
     total = _sequential_sum(p)
     nums = []
@@ -269,18 +286,27 @@ def constrained_sweep(
         if state not in allowed_idx[pos]:
             nums.append(0.0)
         elif pos in axis:
-            nums.append(_sequential_sum(p.take(allowed_idx[pos].index(state), axis=axis[pos])))
+            nums.append(_sequential_sum(p[(slice(None),) * axis[pos] + (allowed_idx[pos].index(state),)]))
         else:
             nums.append(total)
     return total, nums
 
 
+_SUM_CHUNK = 1 << 14  # entries summed per step of a large sum
+
+
 def _sequential_sum(values: np.ndarray | np.float64) -> float:
     """The entries of ``values`` added one at a time in C order, from +0.0,
     so a sum of signed zeros is +0.0; ``np.sum`` adds pairwise and would
-    round differently."""
+    round differently. A large array (or slice of one) is added in chunks,
+    each started from the sum so far, so no full-size copy is made."""
 
-    return float(values.cumsum()[-1]) + 0.0
+    if values.size <= _SUM_CHUNK:
+        return float(values.cumsum()[-1]) + 0.0
+    total = 0.0
+    for chunk in np.nditer(values, flags=["external_loop", "buffered"], order="C", buffersize=_SUM_CHUNK):
+        total = float(np.concatenate(((total,), chunk)).cumsum()[-1])
+    return total
 
 
 # ---------------------------------------------------------------------------

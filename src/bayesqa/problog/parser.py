@@ -20,11 +20,17 @@ keywords: ``evidence``/``query`` only at statement start with ``(`` next,
 ``not`` only in literal position with an ident next. So ``p :- not(e).`` has
 the positive body atom ``not(e)``, and ``p :- not not(e).`` negates it.
 
-The tokenizer walks ``_TOKEN`` with one anchored match loop. A token is a
-plain ``(kind, text, offset)`` tuple: punctuation is its own kind, and an
-``EOF`` token sits at ``len(text)``. Tokens carry no line or column; an error
-resolves its offset to ``line L, column C`` (both from 1, the column counting
-characters after the last newline) only when it is raised.
+The tokenizer is one ``_SPLIT.split``: for each match it yields the gap
+before it, the comment and the token. The gaps must be whitespace; the first
+other character in them is where an anchored scan would have stopped, and is
+reported as unexpected. A token is its plain text, ``""`` at the end of
+input, and its first character gives its kind (a lowercase letter an
+identifier, a digit a number, a quote a quoted constant; punctuation is its
+own kind). Tokens carry no position: an error recomputes its token's
+character offset from a fresh split and resolves it to ``line L, column C``
+(both from 1, the column counting characters after the last newline). One
+parse builds one :class:`Atom` per distinct name and one :class:`Literal` per
+signed atom, so equal nodes of a program are the same object.
 """
 
 from __future__ import annotations
@@ -34,22 +40,10 @@ import re
 from ..errors import ProblogSyntaxError
 from .syntax import IDENT, QUOTED, Atom, Clause, Evidence, Literal, ProbHead, ProblogProgram, Query
 
-_TOKEN = re.compile(
-    rf"""
-      (?P<WS>[ \t\r\n]+)
-    | (?P<COMMENT>%[^\n]*)
-    | (?P<PROBSEP>::)
-    | (?P<ARROW>:-)
-    | (?P<NUMBER>\d+\.\d+|\d+)
-    | (?P<QUOTED>{QUOTED})
-    | (?P<IDENT>{IDENT})
-    | (?P<PUNCT>[;,.()])
-    """,
-    re.VERBOSE,
-)
-
-
-_Tok = tuple[str, str, int]  # (kind, text, offset)
+# the token alternatives start with distinct characters, so their order only
+# sets how fast a match is found: the most frequent first
+_SPLIT = re.compile(rf"(%[^\n]*)|({IDENT}|[;,.()]|::|:-|\d+\.\d+|\d+|{QUOTED})")
+_SPACE = " \t\r\n"
 
 
 def _position(text: str, offset: int) -> str:
@@ -60,145 +54,141 @@ def _position(text: str, offset: int) -> str:
     return f"line {line}, column {column}"
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    tokens: list[_Tok] = []
-    m = None
-    for m in iter(_TOKEN.scanner(text).match, None):
-        kind = m.lastgroup
-        if kind != "WS" and kind != "COMMENT":
-            snippet = m.group()
-            tokens.append((snippet if kind == "PUNCT" else kind, snippet, m.start()))
-    # the scan stops at the end of the text or at a character no token starts with
-    end = m.end() if m else 0
-    if end < len(text):
-        raise ProblogSyntaxError(f"{_position(text, end)}: unexpected character {text[end]!r}")
-    tokens.append(("EOF", "", end))
+def _tokenize(text: str) -> list[str]:
+    pieces = _SPLIT.split(text)
+    if "".join(pieces[::3]).strip(_SPACE):
+        offset = 0
+        for k, piece in enumerate(pieces):
+            if k % 3 == 0 and piece.lstrip(_SPACE):
+                offset += len(piece) - len(piece.lstrip(_SPACE))
+                raise ProblogSyntaxError(f"{_position(text, offset)}: unexpected character {text[offset]!r}")
+            offset += len(piece or "")
+    tokens = list(filter(None, pieces[2::3]))
+    tokens.append("")
     return tokens
+
+
+def _offset(text: str, k: int) -> int:
+    """The character offset of token ``k``, from a fresh split of ``text``."""
+
+    offset = 0
+    pieces = _SPLIT.split(text)
+    for gap, comment, token in zip(pieces[::3], pieces[1::3], pieces[2::3]):
+        offset += len(gap)
+        if token is not None:
+            if k == 0:
+                return offset
+            k -= 1
+        offset += len(comment or token)
+    return len(text)  # the end-of-input token
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.i = 0
-        self.current = self.tokens[0]
+        self.atoms: dict[tuple[str, ...], Atom] = {}  # (predicate, *args)
+        self.literals: dict[tuple[Atom, bool], Literal] = {}
 
-    # -- token plumbing ----------------------------------------------------
+    def error(self, k: int, message: str) -> ProblogSyntaxError:
+        return ProblogSyntaxError(f"{_position(self.text, _offset(self.text, k))}: {message}")
 
-    def advance(self) -> _Tok:
-        tok = self.current
-        self.i += 1
-        self.current = self.tokens[self.i]
-        return tok
+    def fail(self, k: int, expected: str) -> ProblogSyntaxError:
+        found = repr(self.tokens[k]) if self.tokens[k] else "end of input"
+        return self.error(k, f"expected {expected}, found {found}")
 
-    def error(self, tok: _Tok, message: str) -> ProblogSyntaxError:
-        return ProblogSyntaxError(f"{_position(self.text, tok[2])}: {message}")
+    def expect(self, i: int, token: str, expected: str) -> int:
+        if self.tokens[i] != token:
+            raise self.fail(i, expected)
+        return i + 1
 
-    def fail(self, expected: str) -> ProblogSyntaxError:
-        tok = self.current
-        found = "end of input" if tok[0] == "EOF" else repr(tok[1])
-        return self.error(tok, f"expected {expected}, found {found}")
-
-    def expect(self, kind: str, expected: str) -> _Tok:
-        if self.current[0] != kind:
-            raise self.fail(expected)
-        return self.advance()
-
-    # -- grammar -----------------------------------------------------------
+    # -- grammar: each rule takes the index of its first token and returns its
+    # node with the index after its last --------------------------------------
 
     def program(self) -> ProblogProgram:
+        tokens = self.tokens
         clauses: list[Clause] = []
         evidence: list[Evidence] = []
         queries: list[Query] = []
-        while self.current[0] != "EOF":
-            kind, word, _ = self.current
-            if kind == "IDENT" and word == "evidence" and self._peek_is("("):
-                evidence.append(self.evidence_directive())
-            elif kind == "IDENT" and word == "query" and self._peek_is("("):
-                queries.append(self.query_directive())
+        i = 0
+        while word := tokens[i]:
+            if word == "evidence" and tokens[i + 1] == "(":
+                atom, i = self.atom(i + 2)
+                i = self.expect(i, ",", "','")
+                if tokens[i] not in ("true", "false"):
+                    raise self.fail(i, "'true' or 'false'")
+                evidence.append(Evidence(atom=atom, value=tokens[i] == "true"))
+                i = self.expect(self.expect(i + 1, ")", "')'"), ".", "'.' at end of statement")
+            elif word == "query" and tokens[i + 1] == "(":
+                atom, i = self.atom(i + 2)
+                queries.append(Query(atom=atom))
+                i = self.expect(self.expect(i, ")", "')'"), ".", "'.' at end of statement")
             else:
-                clauses.append(self.clause())
+                clause, i = self.clause(i)
+                clauses.append(clause)
         return ProblogProgram(tuple(clauses), tuple(evidence), tuple(queries))
 
-    def _peek_is(self, kind: str) -> bool:
-        return self.tokens[self.i + 1][0] == kind
-
-    def evidence_directive(self) -> Evidence:
-        self.advance()  # 'evidence'
-        self.expect("(", "'('")
-        atom = self.atom()
-        self.expect(",", "','")
-        flag = self.expect("IDENT", "'true' or 'false'")
-        if flag[1] not in ("true", "false"):
-            raise self.error(flag, f"expected 'true' or 'false', found {flag[1]!r}")
-        self.expect(")", "')'")
-        self.expect(".", "'.' at end of statement")
-        return Evidence(atom=atom, value=flag[1] == "true")
-
-    def query_directive(self) -> Query:
-        self.advance()  # 'query'
-        self.expect("(", "'('")
-        atom = self.atom()
-        self.expect(")", "')'")
-        self.expect(".", "'.' at end of statement")
-        return Query(atom=atom)
-
-    def clause(self) -> Clause:
-        heads = [self.head()]
-        while self.current[0] == ";":
-            self.advance()
-            heads.append(self.head())
+    def clause(self, i: int) -> tuple[Clause, int]:
+        tokens = self.tokens
+        head, i = self.head(i)
+        heads = [head]
+        while tokens[i] == ";":
+            head, i = self.head(i + 1)
+            heads.append(head)
         body: list[Literal] = []
-        if self.current[0] == "ARROW":
-            self.advance()
-            body.append(self.literal())
-            while self.current[0] == ",":
-                self.advance()
-                body.append(self.literal())
-        self.expect(".", "'.' at end of statement")
-        return Clause(heads=tuple(heads), body=tuple(body))
+        if tokens[i] == ":-":
+            sep = ","
+            while sep == ",":
+                negated = tokens[i + 1] == "not" and "a" <= tokens[i + 2] < "{"
+                atom, i = self.atom(i + 1 + negated)
+                literal = self.literals.get((atom, negated))
+                if literal is None:
+                    literal = self.literals[atom, negated] = Literal(atom=atom, negated=negated)
+                body.append(literal)
+                sep = tokens[i]
+        return Clause(heads=tuple(heads), body=tuple(body)), self.expect(i, ".", "'.' at end of statement")
 
-    def head(self) -> ProbHead:
-        if self.current[0] == "NUMBER":
-            num = self.advance()
-            probability = float(num[1])
+    def head(self, i: int) -> tuple[ProbHead, int]:
+        number = self.tokens[i]
+        if number[:1].isdecimal():  # what ``\d`` matches
+            probability = float(number)
             if probability > 1.0:
-                raise self.error(num, f"probability {num[1]} outside [0, 1]")
-            self.expect("PROBSEP", "'::' after probability")
-            return ProbHead(probability=probability, atom=self.atom())
-        if self.current[0] == "IDENT":
-            return ProbHead(probability=1.0, atom=self.atom())
-        raise self.fail("a probability or an atom")
+                raise self.error(i, f"probability {number} outside [0, 1]")
+            atom, i = self.atom(self.expect(i + 1, "::", "'::' after probability"))
+            return ProbHead(probability=probability, atom=atom), i
+        if "a" <= number < "{":
+            atom, i = self.atom(i)
+            return ProbHead(probability=1.0, atom=atom), i
+        raise self.fail(i, "a probability or an atom")
 
-    def literal(self) -> Literal:
-        if self.current[:2] == ("IDENT", "not") and self._peek_is("IDENT"):
-            self.advance()
-            return Literal(atom=self.atom(), negated=True)
-        return Literal(atom=self.atom(), negated=False)
-
-    def atom(self) -> Atom:
-        name = self.expect("IDENT", "a predicate name")
-        if self.current[0] != "(":
-            return Atom(predicate=name[1])
-        self.advance()
-        args = [self.constant()]
-        while self.current[0] == ",":
-            self.advance()
-            args.append(self.constant())
-        self.expect(")", "')' or ','")
-        return Atom(predicate=name[1], args=tuple(args))
-
-    def constant(self) -> str:
-        kind, word, _ = tok = self.current
-        if kind == "IDENT":
-            self.advance()
-            return word
-        if kind == "QUOTED":
-            self.advance()
-            if word == "''":
-                raise self.error(tok, "empty quoted constant")
-            return word[1:-1]
-        raise self.fail("a constant (identifier or quoted string)")
+    def atom(self, i: int) -> tuple[Atom, int]:
+        tokens = self.tokens
+        name = tokens[i]
+        if not "a" <= name < "{":  # the tokens that start with a lowercase letter
+            raise self.fail(i, "a predicate name")
+        args: list[str] = []
+        if tokens[i + 1] == "(":
+            sep = ","
+            i += 1
+            while sep == ",":  # i is at the '(' or ',' before a constant
+                constant = tokens[i + 1]
+                if "a" <= constant < "{":
+                    args.append(constant)
+                elif constant[:1] == "'":
+                    if constant == "''":
+                        raise self.error(i + 1, "empty quoted constant")
+                    args.append(constant[1:-1])
+                else:
+                    raise self.fail(i + 1, "a constant (identifier or quoted string)")
+                i += 2
+                sep = tokens[i]
+            if sep != ")":
+                raise self.fail(i, "')' or ','")
+        key = (name, *args)
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(predicate=name, args=tuple(args))
+        return atom, i + 1
 
 
 def parse(text: str) -> ProblogProgram:
@@ -211,7 +201,7 @@ def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a CLI query argument."""
 
     p = _Parser(text)
-    atom = p.atom()
-    if p.current[0] != "EOF":
-        raise p.fail("end of input after atom")
+    atom, i = p.atom(0)
+    if p.tokens[i]:
+        raise p.fail(i, "end of input after atom")
     return atom

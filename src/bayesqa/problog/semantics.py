@@ -24,7 +24,7 @@ from ..errors import (
     UnsupportedFragment,
     ZeroProbabilityEvidence,
 )
-from ..inference import _conditionals, compile_network, constrained_sweep, posterior
+from ..inference import _conditionals, constrained_sweep, posterior
 from .convert import compile_program, undefined_body_atom
 from .syntax import Atom, ProblogProgram, format_atom, validate_program
 
@@ -39,16 +39,15 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
     if method not in ("enumeration", "elimination"):
         raise ValueError(f"unknown method {method!r}")
     compiled = compile_program(program)
-    net = compiled.network
+    net, form = compiled.network, compiled.form
 
     constraints = compiled.conjunction((ev.atom, ev.value) for ev in program.evidence)
     targets = [compiled.resolve_atom(q.atom) for q in program.queries]
 
     if method == "enumeration":
-        probabilities = _conditionals(constraints, *constrained_sweep(net, constraints, targets))
+        probabilities = _conditionals(constraints, *constrained_sweep(form, constraints, targets))
         return {q.atom: p for q, p in zip(program.queries, probabilities)}
 
-    form = compile_network(net)
     return {
         q.atom: posterior(form, vid, constraints)[net.states(vid).index(state)]
         for q, (vid, state) in zip(program.queries, targets)

@@ -32,6 +32,7 @@ from bayesqa.dataset import (
 )
 from bayesqa.errors import (
     NetworkFormatError,
+    QueryEvidenceOverlap,
     UnknownState,
     UnsatisfiableEvidence,
     ZeroProbabilityEvidence,
@@ -283,6 +284,13 @@ class TestClassifyReasoning:
             sprinkler_net, ["rain", "sprinkler"], "grass_wet"
         )
         assert types == ("causal",) and primary == "causal"
+
+    def test_query_among_evidence_is_refused_as_the_engines_do(self, sprinkler_net):
+        with pytest.raises(QueryEvidenceOverlap) as engine:
+            eliminate(sprinkler_net, "rain", "yes", {"rain": "no"})
+        with pytest.raises(QueryEvidenceOverlap) as classify:
+            classify_reasoning(sprinkler_net, ["grass_wet", "rain"], "rain")
+        assert str(classify.value) == str(engine.value) == "query variable 'rain' also appears in evidence"
 
 
 class TestGenerateDataset:

@@ -122,6 +122,14 @@ class TestEnumeration:
             abs=1e-15,
         )
 
+    def test_constrained_sweep_takes_a_compiled_form(self, gallstone_net):
+        form = compile_network(gallstone_net)
+        args = ({"flatulence": {"true"}}, [("amylase", "500-1400")])
+        assert constrained_sweep(form, *args) == constrained_sweep(gallstone_net, *args)
+        # the form reads as its network does
+        assert form.variables is gallstone_net.variables
+        assert form.states("amylase") == gallstone_net.states("amylase")
+
     def test_constrained_sweep_set_constraint(self, gallstone_net):
         total, _ = constrained_sweep(
             gallstone_net, {"amylase": {"0-299", "300-499"}}, []
@@ -148,6 +156,22 @@ class TestSweepBound:
             "enumeration would walk 4782969 joint states, more than the bound of 1048576;"
             " use --method elimination"
         )
+
+    def test_holds_one_full_size_array(self):
+        # 2**20 free states take 8 MiB; the product is formed in place and
+        # summed in chunks, so nothing else of that size is allocated
+        tables = {"b0": (("t", "f"), (), {(): (0.3, 0.7)})}
+        for i in range(1, 21):
+            tables[f"b{i}"] = (("t", "f"), (f"b{i - 1}",), {("t",): (0.9, 0.1), ("f",): (0.2, 0.8)})
+        net = make_network("chain21", tables)
+        tracemalloc.start()
+        try:
+            got = conditional_query(net, "b20", "t", {"b0": "f"}).probability
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 2**20
+        assert got == pytest.approx(eliminate(net, "b20", "t", {"b0": "f"}).probability, abs=1e-12)
 
     def test_counts_the_states_left_by_evidence(self, monkeypatch):
         net = three_state_chain(14)
@@ -369,6 +393,22 @@ class TestPinnedBits:
             ]
             den, nums = self._sums(net, constraints, targets)
             total, parts = constrained_sweep(net, constraints, targets)
+            assert [total.hex(), *map(float.hex, parts)] == [den.hex(), *map(float.hex, nums)], net.name
+
+    def test_chunked_sum_against_the_walk(self, monkeypatch):
+        # a sum of more than _SUM_CHUNK entries, over the whole array or a
+        # target's strided slice, is added chunk by chunk; small chunks
+        # bring every seam into reach of the walk
+        monkeypatch.setattr(inference, "_SUM_CHUNK", 5)
+        rng = np.random.default_rng(2929)
+        for i in range(300):
+            net = netgen.random_network(rng, name=f"chunks{i}", max_vars=6)
+            if i % 2:
+                net = netgen.with_zeros(rng, net)
+            _, _, ev = netgen.random_point_query(rng, net)
+            targets = [(v, net.states(v)[-1]) for v in sorted(net.variables)]
+            den, nums = self._sums(net, ev, targets)
+            total, parts = constrained_sweep(net, ev, targets)
             assert [total.hex(), *map(float.hex, parts)] == [den.hex(), *map(float.hex, nums)], net.name
 
     def test_negative_zero_entries_sum_to_zero(self):

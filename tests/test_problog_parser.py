@@ -20,8 +20,10 @@ from bayesqa.problog import (
     Query,
     parse,
     parse_atom,
+    parser,
     serialize,
 )
+from bayesqa.problog.syntax import IDENT, QUOTED
 from conftest import GALLSTONE_TEXT
 
 
@@ -98,6 +100,15 @@ class TestGrammar:
         with pytest.raises(ProblogSyntaxError):
             parse_atom("a(e).")  # trailing period is not part of an atom
 
+    def test_equal_atoms_are_one_object(self):
+        prog = parse(GALLSTONE_TEXT + "\nquery(gallstones(patient)).\n")
+        head = prog.clauses[0].heads[0].atom
+        uses = [lit.atom for c in prog.clauses for lit in c.body] + [e.atom for e in prog.evidence]
+        uses += [q.atom for q in prog.queries]
+        assert all(a is head for a in uses if a == head) and sum(a == head for a in uses) >= 3
+        bodies = [lit for c in prog.clauses for lit in c.body]
+        assert all(x is y for x in bodies for y in bodies if x == y)
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -140,6 +151,11 @@ class TestErrors:
             ("a.\n2.0::b.", "line 2, column 1: probability 2.0 outside [0, 1]"),
             ("a.\n\tb('').", "line 2, column 4: empty quoted constant"),
             ("evidence(a(e),\n  maybe).", "line 2, column 3: expected 'true' or 'false', found 'maybe'"),
+            # after comments, where an offset summed from split pieces skews first
+            ("% note\na :- .\n", "line 2, column 6: expected a predicate name, found '.'"),
+            ("%c\n%d\n0.5::a(e); %mid\n 2.0::b.", "line 4, column 2: probability 2.0 outside [0, 1]"),
+            ("a. % x $\n% y\nb(e) $", "line 3, column 6: unexpected character '$'"),
+            ("a(e). % one\n% two\nquery(a(e)) %three\n", "line 4, column 1: expected '.' at end of statement, found end of input"),
         ],
     )
     def test_exact_message(self, text, message):
@@ -212,4 +228,84 @@ class TestGeneratedPrograms:
 
     def test_serialize_then_parse_is_identity(self):
         for _, program, text in _generated_texts(200, 7071):
+            assert parse(text) == program
+
+
+# The anchored scan the split tokenizer replaced: whitespace and comments as
+# kinds of their own, one match at a time from where the last one ended.
+_SCAN = re.compile(
+    rf"""
+      (?P<WS>[ \t\r\n]+)
+    | (?P<COMMENT>%[^\n]*)
+    | (?P<PROBSEP>::)
+    | (?P<ARROW>:-)
+    | (?P<NUMBER>\d+\.\d+|\d+)
+    | (?P<QUOTED>{QUOTED})
+    | (?P<IDENT>{IDENT})
+    | (?P<PUNCT>[;,.()])
+    """,
+    re.VERBOSE,
+)
+
+
+def _scanned(text: str) -> list[tuple[str, int]] | str:
+    """Each token's text and offset, the end of input last, or the scan's
+    ``unexpected character`` message."""
+
+    tokens = []
+    m = None
+    for m in iter(_SCAN.scanner(text).match, None):
+        if m.lastgroup not in ("WS", "COMMENT"):
+            tokens.append((m.group(), m.start()))
+    end = m.end() if m else 0
+    if end < len(text):
+        line = text.count("\n", 0, end) + 1
+        column = end - text.rfind("\n", 0, end)
+        return f"line {line}, column {column}: unexpected character {text[end]!r}"
+    return tokens + [("", end)]
+
+
+def _mutated(rng, text: str) -> str:
+    pieces = ["$", "#", "'", "%", ":", "\x0b", "\u00a0", " ", "\t", "\r\n", "\n", "% note\n", "0.5", "a", "(", "''"]
+    chars = list(text)
+    for _ in range(1 + int(rng.integers(3))):
+        k = int(rng.integers(len(chars) + 1))
+        kind = rng.integers(3)
+        if kind == 0:
+            chars.insert(k, pieces[int(rng.integers(len(pieces)))])
+        elif chars:
+            k = min(k, len(chars) - 1)
+            if kind == 1:
+                del chars[k]
+            else:
+                chars[k] = pieces[int(rng.integers(len(pieces)))]
+    return "".join(chars)
+
+
+class TestTokenizer:
+    def test_tokens_and_refusals_match_the_anchored_scan(self):
+        checked = 0
+        for rng, _, text in _generated_texts(1000, 9090):
+            for _ in range(5):
+                mutated = _mutated(rng, text)
+                want = _scanned(mutated)
+                if isinstance(want, str):
+                    with pytest.raises(ProblogSyntaxError) as info:
+                        parser._tokenize(mutated)
+                    assert str(info.value) == want
+                    continue
+                assert parser._tokenize(mutated) == [t for t, _ in want]
+                # the offsets that only errors compute
+                for k in {0, len(want) - 1, int(rng.integers(len(want)))}:
+                    assert parser._offset(mutated, k) == want[k][1]
+                checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("extra", [" ", "\t", "\r\n", "% comment\n", " %\n\t"])
+    def test_layout_between_tokens_leaves_the_program(self, extra):
+        for rng, program, text in _generated_texts(100, 9191):
+            ends = sorted({start + len(tok) for tok, start in _scanned(text)})
+            chosen = [k for k in ends if rng.random() < 0.5]
+            for k in reversed(chosen):
+                text = text[:k] + extra + text[k:]
             assert parse(text) == program

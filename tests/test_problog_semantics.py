@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import netgen
-from bayesqa import inference
+from bayesqa import inference, model
 from bayesqa.errors import (
     EnumerationBoundExceeded,
     UnknownClause,
@@ -16,7 +16,7 @@ from bayesqa.errors import (
     UnsupportedFragment,
     ZeroProbabilityEvidence,
 )
-from bayesqa.problog import enumerate_worlds, evaluate, parse, semantics
+from bayesqa.problog import convert, enumerate_worlds, evaluate, parse, semantics
 from bayesqa.problog.syntax import Atom
 from conftest import GALLSTONE_ANSWER, GALLSTONE_TEXT, WIDE_PROGRAM_TEXT
 
@@ -41,6 +41,27 @@ class TestEvaluate:
         assert len(answers) == 3
         assert answers[Atom("flatulence", ("patient",))] == 1.0  # it is the evidence
         assert answers[AMYLASE_HIGH] == GALLSTONE_ANSWER
+
+    @pytest.mark.parametrize("method", ["enumeration", "elimination"])
+    def test_orders_the_network_once(self, gallstone_program, monkeypatch, method):
+        calls = []
+        order = model.topological_order
+
+        def counted(network):
+            calls.append(network.name)
+            return order(network)
+
+        for module in (model, inference, convert):
+            monkeypatch.setattr(module, "topological_order", counted)
+        assert evaluate(gallstone_program, method=method)[AMYLASE_HIGH] == pytest.approx(GALLSTONE_ANSWER, abs=1e-15)
+        assert calls == ["program"]
+
+    def test_cycle_is_refused_in_its_own_words(self):
+        with pytest.raises(UnsupportedFragment) as info:
+            evaluate(parse("0.5::a :- b.\n0.5::a :- not b.\n0.5::b :- a.\n0.5::b :- not a.\nquery(a).\n"))
+        assert str(info.value) == (
+            "program does not encode a valid network: [cycle] network: network contains a cycle involving: a, b"
+        )
 
     def test_false_evidence_selects_complement(self):
         text = (
