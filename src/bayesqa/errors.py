@@ -57,6 +57,12 @@ class EnumerationBoundExceeded(BayesqaError):
     (``constrained_sweep``); checked before the first step."""
 
 
+class FactorBoundExceeded(BayesqaError):
+    """Variable elimination would build a table of more than
+    ``inference.MAX_FACTOR_ENTRIES`` entries; predicted from the elimination
+    order before the first table is made."""
+
+
 class UnstratifiedNegation(BayesqaError):
     """Negation occurs inside a dependency cycle, so minimal models are ambiguous."""
 

@@ -12,10 +12,17 @@ Two independent engines answer the same questions:
   and :func:`conditional_query` are thin wrappers over it. Its array holds at
   most :data:`MAX_JOINT_STATES` entries; larger spaces are refused up front.
 * variable elimination — numpy factor tables, min-degree elimination order
-  with lexicographic tie-breaking. Exact, and fast enough for the network
-  sizes this package targets. :func:`masked_posterior` returns the
-  unnormalized vector; :func:`posterior` is the one place it is normalized,
-  and :func:`eliminate` reads one entry of that result.
+  with lexicographic tie-breaking. The whole order is worked out on the moral
+  graph first, and a query whose largest table would exceed
+  :data:`MAX_FACTOR_ENTRIES` is refused before any table is made. A table's
+  axes are in memory order, not sorted: a CPT is a view of its compiled
+  table, a product keeps its larger operand's layout and puts the other's
+  extra variables in front of it or behind it, whichever gives numpy the
+  longer inner loop, and a sum adds its slabs in state order. A layout only
+  decides where an entry is stored: the floats multiplied, and the state
+  order of every sum, do not depend on it. :func:`masked_posterior`
+  returns the unnormalized vector; :func:`posterior` is the one place it is
+  normalized, and :func:`eliminate` reads one entry of that result.
 
 Both engines read one compiled form of the network and take evidence and
 targets through one validator. Evidence maps a variable to a state or to a
@@ -40,6 +47,7 @@ import numpy as np
 
 from .errors import (
     EnumerationBoundExceeded,
+    FactorBoundExceeded,
     QueryEvidenceOverlap,
     UnknownVariable,
     ZeroProbabilityEvidence,
@@ -50,6 +58,9 @@ NEGATIVE_NOISE_FLOOR = -1e-12
 
 # one budget for both enumerators: these joint states and enumerate_worlds's worlds
 MAX_JOINT_STATES = 2**20
+
+# entries of the largest table variable elimination may build (80 MB of floats)
+MAX_FACTOR_ENTRIES = 10**7
 
 Constraints = Mapping[str, "AbstractSet[str] | str"]
 
@@ -111,17 +122,17 @@ class CompiledNetwork:
         return self.network.states(variable)
 
     def factors(self) -> tuple[_Factor, ...]:
-        """One factor per CPT, in declaration order, axes sorted; built on
-        first use. Elimination only reads them: every product and sum makes a
-        new table."""
+        """One factor per CPT, in declaration order, built on first use: each
+        is ``tables[i]`` reshaped to one axis per parent, in parent order, and
+        a last axis for the variable, so it shares the table's memory.
+        Elimination only reads them: every product and sum makes a new
+        table."""
 
         if self._factors is None:
             out = []
             for v in self.network.variables:
                 scope = self.network.cpts[v].parents + (v,)
-                axes = tuple(sorted(scope))
-                table = self.tables[self.pos[v]].reshape([self.card[u] for u in scope])
-                out.append(_Factor(axes, np.ascontiguousarray(table.transpose([scope.index(u) for u in axes]))))
+                out.append(_Factor(scope, self.tables[self.pos[v]].reshape([self.card[u] for u in scope])))
             self._factors = tuple(out)
         return self._factors
 
@@ -316,24 +327,72 @@ def _sequential_sum(values: np.ndarray | np.float64) -> float:
 
 @dataclass
 class _Factor:
-    vars: tuple[str, ...]  # always lexicographically sorted
+    vars: tuple[str, ...]  # in memory order: ``values`` is C-contiguous
     values: np.ndarray  # one axis per var, in the same order
 
 
-def _align(f: _Factor, scope: tuple[str, ...], card: Mapping[str, int]) -> np.ndarray:
-    shape = [card[v] if v in f.vars else 1 for v in scope]
-    return f.values.reshape(shape)
+# a product's smaller operand is copied into the product's axis order, for
+# long inner loops, when it holds at most 1/_COPY_SHARE of the product's
+# entries; a larger one is read through a strided view, so that no copy is
+# large next to the product it feeds
+_COPY_SHARE = 8
+
+
+def _inner_run(block: tuple[str, ...], layout: tuple[str, ...], card: Mapping[str, int]) -> int:
+    """Entries in numpy's innermost loop when ``block`` is the tail of a
+    C-ordered product's axes and an operand is stored C-contiguous with the
+    axes ``layout``: the longest tail of ``block`` that the operand either
+    lacks entirely or stores as its own tail, in the same order."""
+
+    run = 1
+    for k in range(1, len(block) + 1):
+        tail = block[-k:]
+        if layout[-k:] != tail and not set(tail).isdisjoint(layout):
+            break
+        run *= card[tail[0]]
+    return run
 
 
 def _multiply(a: _Factor, b: _Factor, card: Mapping[str, int]) -> _Factor:
-    scope = tuple(sorted(set(a.vars) | set(b.vars)))
-    return _Factor(scope, _align(a, scope, card) * _align(b, scope, card))
+    """The product of two factors, on the union of their scopes.
+
+    The larger operand keeps its layout and is not copied: its axes are one
+    block of the product's, and the smaller operand's other variables go in
+    front of that block or behind it, whichever leaves numpy the longer
+    innermost loop. Each entry is the same one float product in any layout.
+    """
+
+    if a.values.size < b.values.size:
+        a, b = b, a
+    extra = tuple([v for v in b.vars if v not in a.vars])
+    shared = tuple([v for v in a.vars if v in b.vars])  # b's axes met in a, in a's order
+    copy = b.values.size * _COPY_SHARE <= a.values.size * math.prod([card[v] for v in extra])
+    front = not extra or _inner_run(a.vars, extra + shared if copy else b.vars, card) >= _inner_run(
+        extra, shared + extra if copy else b.vars, card
+    )
+    scope, own = (extra + a.vars, extra + shared) if front else (a.vars + extra, shared + extra)
+    bv = b.values
+    if own != b.vars:
+        bv = bv.transpose([b.vars.index(v) for v in own])
+        if copy:
+            bv = bv.copy()
+    bv = bv.reshape([card[v] if v in b.vars else 1 for v in scope])
+    # numpy broadcasts a over leading axes; trailing ones need a reshape
+    av = a.values if front else a.values.reshape(a.values.shape + (1,) * len(extra))
+    return _Factor(scope, np.multiply(av, bv, order="C"))
 
 
 def _sum_out(f: _Factor, var: str) -> _Factor:
+    """``f`` summed over ``var``: its first slab plus +0.0 (``np.sum``'s
+    start, so a sum of signed zeros is +0.0), then the other slabs added in
+    state order."""
+
     axis = f.vars.index(var)
-    rest = f.vars[:axis] + f.vars[axis + 1 :]
-    return _Factor(rest, f.values.sum(axis=axis))
+    lead = (slice(None),) * axis
+    out = f.values[lead + (0,)] + 0.0
+    for s in range(1, f.values.shape[axis]):
+        out += f.values[lead + (s,)]
+    return _Factor(f.vars[:axis] + f.vars[axis + 1 :], out)
 
 
 def masked_posterior(
@@ -345,7 +404,10 @@ def masked_posterior(
 
     ``constraints`` maps variables to an allowed state or set of allowed
     states; the target variable itself may be constrained. Summing the result
-    gives the probability of the constraint event.
+    gives the probability of the constraint event. The elimination order is
+    worked out on the moral graph before any table is made; raises
+    :class:`FactorBoundExceeded` when a bucket's product would hold more than
+    :data:`MAX_FACTOR_ENTRIES` entries.
     """
 
     c = compile_network(network)
@@ -354,6 +416,28 @@ def masked_posterior(
     net.states(variable)  # an unknown variable fails here
     card = c.card
 
+    # min degree, ties by name. An eliminated variable leaves every neighbour
+    # set, so the only neighbour not to be eliminated is ``variable``. A
+    # bucket's product spans its variable and that variable's neighbours.
+    # Masks are unary, so they add no edge to the moral graph.
+    to_eliminate = set(net.variables) - {variable}
+    neighbors: dict[str, set[str]] = {v: set(n) for v, n in c.moral().items()}
+    order: list[str] = []
+    largest = 0
+    while to_eliminate:
+        target = min(to_eliminate, key=lambda v: (len(neighbors[v]) - (variable in neighbors[v]), v))
+        linked = neighbors.pop(target)
+        largest = max(largest, card[target] * math.prod(card[a] for a in linked))
+        for a in linked:
+            neighbors[a].discard(target)
+            neighbors[a].update(linked - {a})
+        to_eliminate.discard(target)
+        order.append(target)
+    if largest > MAX_FACTOR_ENTRIES:
+        raise FactorBoundExceeded(
+            f"elimination would build a table of {largest} entries, more than the bound of {MAX_FACTOR_ENTRIES}"
+        )
+
     # CPTs in declaration order, then masks: each bucket multiplies in this order
     factors: list[_Factor] = list(c.factors())
     for var, idx in allowed:
@@ -361,25 +445,15 @@ def masked_posterior(
         mask[list(idx)] = 1.0
         factors.append(_Factor((var,), mask))
 
-    # masks are unary, so they add no edge to the moral graph
-    to_eliminate = set(net.variables) - {variable}
-    neighbors: dict[str, set[str]] = {v: set(n) for v, n in c.moral().items()}
-
-    while to_eliminate:
-        target = min(to_eliminate, key=lambda v: (len(neighbors[v] & to_eliminate), v))
+    for target in order:
         bucket = [f for f in factors if target in f.vars]
-        rest = [f for f in factors if target not in f.vars]
-        if bucket:
-            prod = bucket[0]
-            for f in bucket[1:]:
-                prod = _multiply(prod, f, card)
-            rest.append(_sum_out(prod, target))
-        factors = rest
-        linked = neighbors.pop(target)
-        for a in linked:
-            neighbors[a].discard(target)
-            neighbors[a].update(linked - {a})
-        to_eliminate.discard(target)
+        factors = [f for f in factors if target not in f.vars]
+        # each factor is dropped once multiplied in, so it can be freed
+        bucket.reverse()
+        prod = bucket.pop()
+        while bucket:
+            prod = _multiply(prod, bucket.pop(), card)
+        factors.append(_sum_out(prod, target))
 
     result = _Factor((), np.array(1.0))
     for f in factors:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ import netgen
 from bayesqa import inference
 from bayesqa.errors import (
     EnumerationBoundExceeded,
+    FactorBoundExceeded,
     QueryEvidenceOverlap,
     UnknownState,
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
 from bayesqa.inference import (
+    _Factor,
     compile_network,
     conditional_query,
     constrained_sweep,
@@ -185,6 +189,123 @@ class TestSweepBound:
         assert total == pytest.approx(sum(parts), abs=1e-15)
         with pytest.raises(EnumerationBoundExceeded, match=r"walk 729 joint states"):
             constrained_sweep(net, evidence, [])
+
+
+def _grid(n):
+    """An n-by-n grid of binary variables, each a child of the variables above
+    and to the left of it."""
+
+    p_true = (0.3, 0.5, 0.8)  # by the number of true parents
+    tables = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        parents = (f"g{i - 1}_{j}",) * (i > 0) + (f"g{i}_{j - 1}",) * (j > 0)
+        rows = {key: (p_true[key.count("t")], 1.0 - p_true[key.count("t")])
+                for key in itertools.product(("t", "f"), repeat=len(parents))}
+        tables[f"g{i}_{j}"] = (("t", "f"), parents, rows)
+    return make_network(f"grid{n}", tables)
+
+
+def _cliff_networks():
+    """The five 76-variable, 3-state structures of the benchmark's cliff rung,
+    whose largest elimination table for the last variable has 3**13 entries,
+    with CPT rows drawn from a fixed seed."""
+
+    states = ("s0", "s1", "s2")
+    structures = json.loads((Path(__file__).parent / "data" / "cliff_structures.json").read_text())
+    for k, parents in enumerate(structures):
+        rng = np.random.default_rng(k)
+        tables = {}
+        for i, ps in enumerate(parents):
+            ps = tuple(f"v{p}" for p in ps)
+            rows = {key: netgen.grid_row(rng, 3) for key in itertools.product(states, repeat=len(ps))}
+            tables[f"v{i}"] = (states, ps, rows)
+        yield make_network(f"cliff{k}", tables)
+
+
+class TestEliminationMemory:
+    def test_refuses_by_predicted_size_before_any_table(self):
+        # the corner's elimination would build a 2**25-entry (256 MiB) table
+        net = _grid(16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorBoundExceeded) as info:
+                eliminate(net, "g15_15", "t", {"g0_0": "t"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert str(info.value) == (
+            "elimination would build a table of 33554432 entries, more than the bound of 10000000"
+        )
+
+    def test_predicts_the_largest_table_it_builds(self, monkeypatch):
+        net = _grid(12)
+        largest = 0
+        multiply = inference._multiply
+
+        def recording(a, b, card):
+            nonlocal largest
+            out = multiply(a, b, card)
+            largest = max(largest, out.values.size)
+            return out
+
+        monkeypatch.setattr(inference, "_multiply", recording)
+        assert 0.0 < eliminate(net, "g11_11", "t", {"g0_0": "t"}).probability < 1.0
+        assert largest == 2**21
+        monkeypatch.setattr(inference, "MAX_FACTOR_ENTRIES", 2**21 - 1)
+        with pytest.raises(FactorBoundExceeded, match=r"table of 2097152 entries"):
+            eliminate(net, "g11_11", "t", {"g0_0": "t"})
+
+    def test_cliff_peaks_stay_below_the_sorted_axis_layout(self):
+        # peak traced bytes per 3**13-entry table, measured with every factor
+        # kept in sorted-axis order and each bucket held until its product was
+        # done; copies of small operands may not push a peak past those
+        sorted_axis_peaks = (1.67, 1.79, 1.67, 1.67, 2.45)
+        for net, bound in zip(_cliff_networks(), sorted_axis_peaks, strict=True):
+            form = compile_network(net)
+            query, evidence = "v75", {"v0": "s1", "v40": "s2"}
+            masked_posterior(form, query, evidence)  # builds the factors and the moral graph
+            tracemalloc.start()
+            try:
+                masked_posterior(form, query, evidence)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 8 * 3**13, net.name
+
+
+class TestLayouts:
+    def test_factors_are_views_of_the_tables(self, gallstone_net):
+        rng = np.random.default_rng(31)
+        for net in (gallstone_net, _chain(), *(netgen.random_network(rng, name=f"view{i}") for i in range(20))):
+            form = compile_network(net)
+            for v, f in zip(net.variables, form.factors(), strict=True):
+                assert f.vars == net.cpts[v].parents + (v,)
+                assert np.shares_memory(f.values, form.tables[form.pos[v]])
+
+    @pytest.mark.parametrize("share", [1, 10**9], ids=["copied", "strided"])
+    def test_both_placements_give_the_same_bits(self, monkeypatch, share):
+        # the smaller operand holds a and c in the other order and adds e
+        rng = np.random.default_rng(77)
+        card = {"a": 2, "b": 3, "c": 4, "d": 2, "e": 3}
+        big = _Factor(("a", "b", "c", "d"), rng.random((2, 3, 4, 2)))
+        small = _Factor(("e", "c", "a"), rng.random((3, 4, 2)))
+        monkeypatch.setattr(inference, "_COPY_SHARE", share)
+        hexes = []
+        for block, scope in ((big.vars, ("e",) + big.vars), (("e",), big.vars + ("e",))):
+            # the placement whose block reports the longer run wins
+            monkeypatch.setattr(inference, "_inner_run", lambda b, layout, card, block=block: int(b == block))
+            product = inference._multiply(small, big, card)
+            assert product.vars == scope and product.values.flags.c_contiguous
+            entries = []
+            for world in itertools.product(*(range(card[v]) for v in sorted(card))):
+                at = dict(zip(sorted(card), world))
+                got = product.values[tuple(at[v] for v in product.vars)]
+                want = big.values[tuple(at[v] for v in big.vars)] * small.values[tuple(at[v] for v in small.vars)]
+                assert got == want
+                entries.append(float(got).hex())
+            hexes.append(entries)
+        assert hexes[0] == hexes[1]
 
 
 class TestElimination:
@@ -476,8 +597,9 @@ class TestPinnedBits:
 
     def test_elimination_against_a_reference(self):
         rng = np.random.default_rng(5150)
-        for i in range(240):
-            net = netgen.random_network(rng, name=f"elim{i}", max_vars=7)
+        # the last 120 networks have up to 7 states, below numpy's pairwise sums
+        for i in range(360):
+            net = netgen.random_network(rng, name=f"elim{i}", max_vars=7, max_states=4 if i < 240 else 7)
             if i % 2:
                 net = netgen.with_zeros(rng, net)
             qv, _, ev = netgen.random_point_query(rng, net)
@@ -489,6 +611,21 @@ class TestPinnedBits:
                 constraints[qv] = {t for t in net.states(qv) if rng.random() < 0.6}
             want = self._eliminated(net, qv, constraints)
             assert np.array_equal(masked_posterior(net, qv, constraints), want), net.name
+
+
+    def test_nine_states_add_in_state_order(self):
+        # np.sum would add this 9-state axis pairwise, to 0x1.fced916872b03p-2
+        states = tuple(f"s{j}" for j in range(9))
+        prior = (0.1,) * 8 + (0.2,)
+        p_true = (0.057, 0.157, 0.257, 0.357, 0.457, 0.557, 0.657, 0.757, 0.857)
+        net = make_network("nine", {
+            "z": (states, (), {(): prior}),
+            "b": (("t", "f"), ("z",), {(s, ): (p, 1.0 - p) for s, p in zip(states, p_true)}),
+        })
+        walk = 0.0
+        for pz, pb in zip(prior, p_true):
+            walk += pb * pz
+        assert float(masked_posterior(net, "b", {})[0]).hex() == walk.hex() == "0x1.fced916872b02p-2"
 
 
 class TestCompiledForm:
