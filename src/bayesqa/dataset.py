@@ -468,6 +468,9 @@ def instance_to_dict(instance: DatasetInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> DatasetInstance:
+    reasoning_types = record_field(doc, "reasoning_types", "a list of strings", list)
+    if not all(type(t) is str for t in reasoning_types):
+        raise TypeError(f"reasoning_types must be a list of strings, got {json.dumps(reasoning_types)}")
     return DatasetInstance(
         id=record_field(doc, "id", "a string", str),
         network=record_field(doc, "network", "a string", str),
@@ -475,24 +478,27 @@ def instance_from_dict(doc: dict) -> DatasetInstance:
             Premise(
                 kind=p["kind"],
                 text=p["text"],
-                clause_ref=int(p["clause_ref"]),
+                # one type test per premise; record_field only words the refusal
+                clause_ref=p["clause_ref"] if type(p["clause_ref"]) is int else record_field(
+                    p, "clause_ref", "an integer", int
+                ),
                 variable=p["variable"],
                 parent_assignment=tuple(sorted(p["given"].items())),
             )
             for p in doc["premises"]
         ),
-        evidence=tuple(
-            Binding(e["variable"], e["state"], e["text"]) for e in doc["evidence"]
-        ),
-        question=Binding(
-            doc["question"]["variable"], doc["question"]["state"], doc["question"]["text"]
-        ),
+        evidence=tuple(_binding_from_dict(e) for e in doc["evidence"]),
+        question=_binding_from_dict(doc["question"]),
         gold=float(record_field(doc, "gold", "a number", int, float)),
-        reasoning_types=tuple(doc["reasoning_types"]),
+        reasoning_types=tuple(reasoning_types),
         primary_type=record_field(doc, "primary_type", "a string", str),
         seed=record_field(doc, "seed", "an integer", int),
         index=record_field(doc, "index", "an integer", int),
     )
+
+
+def _binding_from_dict(doc: dict) -> Binding:
+    return Binding(*(record_field(doc, key, "a string", str) for key in ("variable", "state", "text")))
 
 
 def save_dataset(instances: Sequence[DatasetInstance], path: str | Path) -> None:

@@ -17,10 +17,9 @@ Two independent engines answer the same questions:
   :data:`MAX_FACTOR_ENTRIES` is refused before any table is made. A table's
   axes are in memory order, not sorted: a CPT is a view of its compiled
   table, a product keeps its larger operand's layout and puts the other's
-  extra variables in front of it or behind it, whichever gives numpy the
-  longer inner loop, and a sum adds its slabs in state order. A layout only
-  decides where an entry is stored: the floats multiplied, and the state
-  order of every sum, do not depend on it. :func:`masked_posterior`
+  extra variables in front of it, and a sum adds its slabs in state order.
+  A layout only decides where an entry is stored: the floats multiplied, and
+  the state order of every sum, do not depend on it. :func:`masked_posterior`
   returns the unnormalized vector; :func:`posterior` is the one place it is
   normalized, and :func:`eliminate` reads one entry of that result.
 
@@ -338,48 +337,27 @@ class _Factor:
 _COPY_SHARE = 8
 
 
-def _inner_run(block: tuple[str, ...], layout: tuple[str, ...], card: Mapping[str, int]) -> int:
-    """Entries in numpy's innermost loop when ``block`` is the tail of a
-    C-ordered product's axes and an operand is stored C-contiguous with the
-    axes ``layout``: the longest tail of ``block`` that the operand either
-    lacks entirely or stores as its own tail, in the same order."""
-
-    run = 1
-    for k in range(1, len(block) + 1):
-        tail = block[-k:]
-        if layout[-k:] != tail and not set(tail).isdisjoint(layout):
-            break
-        run *= card[tail[0]]
-    return run
-
-
 def _multiply(a: _Factor, b: _Factor, card: Mapping[str, int]) -> _Factor:
     """The product of two factors, on the union of their scopes.
 
-    The larger operand keeps its layout and is not copied: its axes are one
-    block of the product's, and the smaller operand's other variables go in
-    front of that block or behind it, whichever leaves numpy the longer
-    innermost loop. Each entry is the same one float product in any layout.
+    The larger operand keeps its layout and is not copied: the product's axes
+    are the smaller operand's other variables, in its order, then the larger
+    operand's, which numpy broadcasts over. Each entry is the same one float
+    product in any layout.
     """
 
     if a.values.size < b.values.size:
         a, b = b, a
     extra = tuple([v for v in b.vars if v not in a.vars])
     shared = tuple([v for v in a.vars if v in b.vars])  # b's axes met in a, in a's order
-    copy = b.values.size * _COPY_SHARE <= a.values.size * math.prod([card[v] for v in extra])
-    front = not extra or _inner_run(a.vars, extra + shared if copy else b.vars, card) >= _inner_run(
-        extra, shared + extra if copy else b.vars, card
-    )
-    scope, own = (extra + a.vars, extra + shared) if front else (a.vars + extra, shared + extra)
+    scope, own = extra + a.vars, extra + shared
     bv = b.values
     if own != b.vars:
         bv = bv.transpose([b.vars.index(v) for v in own])
-        if copy:
+        if b.values.size * _COPY_SHARE <= a.values.size * math.prod([card[v] for v in extra]):
             bv = bv.copy()
     bv = bv.reshape([card[v] if v in b.vars else 1 for v in scope])
-    # numpy broadcasts a over leading axes; trailing ones need a reshape
-    av = a.values if front else a.values.reshape(a.values.shape + (1,) * len(extra))
-    return _Factor(scope, np.multiply(av, bv, order="C"))
+    return _Factor(scope, np.multiply(a.values, bv, order="C"))
 
 
 def _sum_out(f: _Factor, var: str) -> _Factor:
@@ -455,11 +433,12 @@ def masked_posterior(
             prod = _multiply(prod, bucket.pop(), card)
         factors.append(_sum_out(prod, target))
 
-    result = _Factor((), np.array(1.0))
+    # the factors left hold no variable but ``variable``, which is never
+    # eliminated; a product started from ones spans it, and 1.0 * x is x
+    result = _Factor((variable,), np.ones(card[variable]))
     for f in factors:
         result = _multiply(result, f, card)
-    values = result.values if result.vars == (variable,) else np.broadcast_to(result.values, (card[variable],))
-    values = np.asarray(values, dtype=float).copy()
+    values = result.values
     low = values.min()
     if low < NEGATIVE_NOISE_FLOOR:
         raise ArithmeticError(f"elimination produced mass {low!r} below the noise floor")

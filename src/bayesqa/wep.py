@@ -180,9 +180,14 @@ def prob_to_wep(
     )
     pool = secondary if used_second else primary
     phrase = pool[0] if len(pool) == 1 else pool[int(rng.integers(len(pool)))]
-    if phrase == "about even" and p < ABOUT_EVEN_FLOOR:
-        phrase = "probably not"
-    return WepSelection(phrase, used_second)
+    return WepSelection(_about_even_rule(phrase, p), used_second)
+
+
+def _about_even_rule(phrase: str, p: float) -> str:
+    """``phrase``, except that "about even" reads "probably not" below
+    :data:`ABOUT_EVEN_FLOOR`."""
+
+    return "probably not" if phrase == "about even" and p < ABOUT_EVEN_FLOOR else phrase
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,7 @@ def _primary_anchor(p: float) -> float:
     """Anchor the deterministic closest-phrase rule would assign to ``p``."""
 
     primary, _ = _candidate_sets(p)
-    anchors = set()
-    for phrase in primary:
-        if phrase == "about even" and p < ABOUT_EVEN_FLOOR:
-            phrase = "probably not"
-        anchors.add(_ANCHORS[phrase])
-    return max(anchors)
+    return max(_ANCHORS[_about_even_rule(phrase, p)] for phrase in primary)
 
 
 def verbalize_distribution(

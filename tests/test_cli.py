@@ -195,11 +195,23 @@ class TestInputErrors:
             ("id", 5, "id must be a string, got 5"),
             ("network", 5, "network must be a string, got 5"),
             ("primary_type", None, "primary_type must be a string, got null"),
+            ("reasoning_types", "causal", 'reasoning_types must be a list of strings, got "causal"'),
+            ("reasoning_types", ["causal", 1], 'reasoning_types must be a list of strings, got ["causal", 1]'),
+            ("premises.0.clause_ref", True, "clause_ref must be an integer, got true"),
+            ("premises.3.clause_ref", 1.5, "clause_ref must be an integer, got 1.5"),
+            ("evidence.0.variable", 7, "variable must be a string, got 7"),
+            ("evidence.0.text", None, "text must be a string, got null"),
+            ("question.state", None, "state must be a string, got null"),
         ],
     )
     def test_dataset_field_types(self, capsys, tmp_path, gallstone_net, field, value, message):
+        # field is a dotted path into the second record; a number steps into a list
         records = [instance_to_dict(i) for i in generate_dataset(gallstone_net, 2, seed=3)]
-        records[1][field] = value
+        *steps, last = field.split(".")
+        target = records[1]
+        for step in steps:
+            target = target[int(step) if step.isdigit() else step]
+        target[last] = value
         bad = tmp_path / "dataset.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         code, out, err = run(capsys, "baseline", str(bad))

@@ -284,28 +284,44 @@ class TestLayouts:
                 assert np.shares_memory(f.values, form.tables[form.pos[v]])
 
     @pytest.mark.parametrize("share", [1, 10**9], ids=["copied", "strided"])
-    def test_both_placements_give_the_same_bits(self, monkeypatch, share):
+    def test_extra_variables_go_in_front(self, monkeypatch, share):
         # the smaller operand holds a and c in the other order and adds e
         rng = np.random.default_rng(77)
         card = {"a": 2, "b": 3, "c": 4, "d": 2, "e": 3}
         big = _Factor(("a", "b", "c", "d"), rng.random((2, 3, 4, 2)))
         small = _Factor(("e", "c", "a"), rng.random((3, 4, 2)))
         monkeypatch.setattr(inference, "_COPY_SHARE", share)
-        hexes = []
-        for block, scope in ((big.vars, ("e",) + big.vars), (("e",), big.vars + ("e",))):
-            # the placement whose block reports the longer run wins
-            monkeypatch.setattr(inference, "_inner_run", lambda b, layout, card, block=block: int(b == block))
-            product = inference._multiply(small, big, card)
-            assert product.vars == scope and product.values.flags.c_contiguous
-            entries = []
-            for world in itertools.product(*(range(card[v]) for v in sorted(card))):
-                at = dict(zip(sorted(card), world))
-                got = product.values[tuple(at[v] for v in product.vars)]
-                want = big.values[tuple(at[v] for v in big.vars)] * small.values[tuple(at[v] for v in small.vars)]
-                assert got == want
-                entries.append(float(got).hex())
-            hexes.append(entries)
-        assert hexes[0] == hexes[1]
+        product = inference._multiply(small, big, card)
+        assert product.vars == ("e",) + big.vars and product.values.flags.c_contiguous
+        for world in itertools.product(*(range(card[v]) for v in sorted(card))):
+            at = dict(zip(sorted(card), world))
+            got = product.values[tuple(at[v] for v in product.vars)]
+            want = big.values[tuple(at[v] for v in big.vars)] * small.values[tuple(at[v] for v in small.vars)]
+            assert got == want
+
+    def test_masked_posterior_owns_its_result(self, gallstone_net):
+        # the result is clipped in place, so it may not be a compiled table
+        rng = np.random.default_rng(5)
+        for net in (gallstone_net, _chain(), *(netgen.random_network(rng, name=f"own{i}") for i in range(20))):
+            form = compile_network(net)
+            for v in net.variables:
+                values = masked_posterior(form, v, {})
+                assert values.flags.writeable
+                assert not any(np.shares_memory(values, t) for t in form.tables)
+
+    def test_cliff_answers_keep_their_bits(self):
+        # float.hex of each cliff network's answer, whose 3**13-entry
+        # products read their smaller operand both copied and strided
+        pinned = (
+            ("0x1.5e88c67ce47c0p-7", "0x1.14e99ebc5d57ap-7", "0x1.01eef65793c96p-7"),
+            ("0x1.7b6b36538f1b8p-8", "0x1.199a86c2ff9c0p-8", "0x1.7985acd50cc2ep-8"),
+            ("0x1.80afa8cd7f781p-5", "0x1.296da76214f4bp-4", "0x1.9c5472ee26ac4p-5"),
+            ("0x1.35f044348415ep-3", "0x1.eaafd7c695cf0p-4", "0x1.7b45e4c436740p-5"),
+            ("0x1.4a1c5f47eac93p-5", "0x1.37f5a78e6b9cep-6", "0x1.219795eac3773p-6"),
+        )
+        for net, want in zip(_cliff_networks(), pinned, strict=True):
+            got = masked_posterior(net, "v75", {"v0": "s1", "v40": "s2"})
+            assert tuple(float(x).hex() for x in got) == want, net.name
 
 
 class TestElimination:
