@@ -13,6 +13,7 @@ controlled by explicit flags only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -331,80 +332,86 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bayesqa", parents=[common], description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
-        return p
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], help=help_text)
 
-    p = add("validate", cmd_validate, "check a network file against every invariant")
+    p = add("validate", "check a network file against every invariant")
     p.add_argument("network")
     p.add_argument("--renormalize", action="store_true", help="rescale CPT rows before checking")
 
-    p = add("infer", cmd_infer, "conditional query against a network")
+    p = add("infer", "conditional query against a network")
     p.add_argument("network")
     p.add_argument("--query", type=_binding, required=True, metavar="VAR=STATE")
     p.add_argument("--evidence", type=_binding, action="append", default=[], metavar="VAR=STATE")
     p.add_argument("--method", choices=("enumeration", "elimination"), default="enumeration")
 
-    p = add("solve", cmd_solve, "answer the queries of a program file")
+    p = add("solve", "answer the queries of a program file")
     p.add_argument("program")
     p.add_argument(
         "--method", choices=("enumeration", "elimination", "worlds"), default="enumeration"
     )
 
-    p = add("to-problog", cmd_to_problog, "encode a network as a program")
+    p = add("to-problog", "encode a network as a program")
     p.add_argument("network")
     p.add_argument("--entity", default=None, help="entity constant (default: network metadata)")
     p.add_argument("-o", "--out", default=None)
 
-    p = add("from-problog", cmd_from_problog, "decode a program into a network file")
+    p = add("from-problog", "decode a program into a network file")
     p.add_argument("program")
     p.add_argument("--name", default="program")
     p.add_argument("-o", "--out", default=None)
 
-    p = add("subset", cmd_subset, "extract a subnetwork, marginalizing removed variables")
+    p = add("subset", "extract a subnetwork, marginalizing removed variables")
     p.add_argument("network")
     p.add_argument("--keep", action="append", required=True, metavar="VAR")
     p.add_argument("-o", "--out", default=None)
 
-    p = add("gen-dataset", cmd_gen_dataset, "generate benchmark instances + program files")
+    p = add("gen-dataset", "generate benchmark instances + program files")
     p.add_argument("networks", nargs="+")
     p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--kind", choices=("numeric", "wep", "both"), default="both")
     p.add_argument("--second-closest", type=_probability, default=0.1)
 
-    p = add("wep", cmd_wep, "map a probability to a phrase or back")
+    p = add("wep", "map a probability to a phrase or back")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--prob", type=_probability)
     group.add_argument("--phrase")
     p.add_argument("--second-closest", type=_probability, default=0.1)
 
-    p = add("classify", cmd_classify, "reasoning type(s) of a query/evidence pattern")
+    p = add("classify", "reasoning type(s) of a query/evidence pattern")
     p.add_argument("network")
     p.add_argument("--query", required=True, metavar="VAR")
     p.add_argument("--evidence", action="append", default=[], metavar="VAR")
 
-    p = add("score", cmd_score, "score predictions against dataset golds")
+    p = add("score", "score predictions against dataset golds")
     p.add_argument("dataset")
     p.add_argument("predictions")
     p.add_argument("--buckets", type=_bucket_edges, default=None, help="premise-count bucket edges, e.g. 5,10,20")
 
-    p = add("baseline", cmd_baseline, "score the constant-0.5 baseline")
+    p = add("baseline", "score the constant-0.5 baseline")
     p.add_argument("dataset")
     p.add_argument("--value", type=float, default=0.5)
     p.add_argument("-o", "--out", default=None, help="also write the predictions here")
     p.add_argument("--buckets", type=_bucket_edges, default=None)
 
-    p = add("stats", cmd_stats, "corpus statistics for network files (+ optional dataset)")
+    p = add("stats", "corpus statistics for network files (+ optional dataset)")
     p.add_argument("networks", nargs="+")
     p.add_argument("--dataset", default=None)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs milliseconds, and parsing
+    leaves it unchanged, so every :func:`main` call shares it."""
+
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     args.seed = getattr(args, "seed", DEFAULT_SEED)
     args.format = getattr(args, "format", "human")
@@ -417,7 +424,9 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"--evidence names variable {var!r} more than once")
 
     try:
-        return args.func(args)
+        # looked up when the command runs: the parser outlives a call, and a
+        # wrapper set on the module attribute later must be the one called
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (BayesqaError, OSError, ValueError) as exc:  # OSError: writing an output file
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

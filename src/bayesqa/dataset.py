@@ -17,8 +17,9 @@ serially: the work is pure Python, and a thread pool measured slower than
 one thread.
 
 Whatever depends only on the network is built once per network and shared
-by its instances: the premises tuple, the elimination form that every
-evidence draw of every instance is answered on
+by its instances: the premises tuple, the compiled form that the network
+keeps and every evidence draw of every instance is answered on, with one
+elimination plan per query variable
 (:func:`~bayesqa.inference.compile_network`), the program encoding
 (:class:`NetworkEncoder`: ``bn_to_problog`` clauses, their canonical text
 and the predicates a negated-query indicator must avoid), and, in
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NetworkFormatError, UnsatisfiableEvidence, ZeroProbabilityEvidence
-from .inference import CompiledNetwork, _check_overlap, compile_network, eliminate
+from .inference import CompiledNetwork, _check_overlap, eliminate
 from .model import (
     BayesianNetwork,
     children,
@@ -209,8 +210,8 @@ def sample_qe(
     Evidence assignments with probability zero are rejected and redrawn; after
     ``MAX_EVIDENCE_RETRIES`` rejections :class:`UnsatisfiableEvidence` is raised
     (the network is then near-deterministic and not a useful QA subject). Each
-    draw is answered by :func:`~bayesqa.inference.eliminate` on ``network``:
-    pass the network's compiled form to answer every draw on one form.
+    draw is answered by :func:`~bayesqa.inference.eliminate` on ``network``,
+    whose compiled form every draw shares; a form may be passed in its place.
     """
 
     net = network.network if isinstance(network, CompiledNetwork) else network
@@ -322,11 +323,10 @@ def generate_dataset(
         np.random.SeedSequence(entropy=seed, spawn_key=(0, stream))
     )
     premises = tuple(template_premises(network, premise_rng, second_closest_prob=second_closest_prob))
-    form = compile_network(network)
 
     def build(i: int) -> DatasetInstance:
         rng = _instance_rng(seed, stream, i)
-        qe = sample_qe(form, rng)
+        qe = sample_qe(network, rng)
         types, primary = classify_reasoning(
             network, [v for v, _ in qe.evidence], qe.query_var
         )
@@ -474,19 +474,7 @@ def instance_from_dict(doc: dict) -> DatasetInstance:
     return DatasetInstance(
         id=record_field(doc, "id", "a string", str),
         network=record_field(doc, "network", "a string", str),
-        premises=tuple(
-            Premise(
-                kind=p["kind"],
-                text=p["text"],
-                # one type test per premise; record_field only words the refusal
-                clause_ref=p["clause_ref"] if type(p["clause_ref"]) is int else record_field(
-                    p, "clause_ref", "an integer", int
-                ),
-                variable=p["variable"],
-                parent_assignment=tuple(sorted(p["given"].items())),
-            )
-            for p in doc["premises"]
-        ),
+        premises=tuple(_premise_from_dict(p) for p in doc["premises"]),
         evidence=tuple(_binding_from_dict(e) for e in doc["evidence"]),
         question=_binding_from_dict(doc["question"]),
         gold=float(record_field(doc, "gold", "a number", int, float)),
@@ -495,6 +483,24 @@ def instance_from_dict(doc: dict) -> DatasetInstance:
         seed=record_field(doc, "seed", "an integer", int),
         index=record_field(doc, "index", "an integer", int),
     )
+
+
+def _premise_from_dict(doc: dict) -> Premise:
+    # one test per field; record_field and the raises only word the refusal
+    kind, variable, clause_ref, given = doc["kind"], doc["variable"], doc["clause_ref"], doc["given"]
+    if kind not in ("numeric", "wep"):
+        raise ValueError(f'kind must be "numeric" or "wep", got {json.dumps(kind)}')
+    if type(variable) is not str:
+        record_field(doc, "variable", "a string", str)
+    if type(clause_ref) is not int:
+        record_field(doc, "clause_ref", "an integer", int)
+    # JSON object keys are strings, so only the values need a test: joining
+    # them fails unless given is an object and each value a string
+    try:
+        "".join(given.values())
+    except (AttributeError, TypeError):
+        raise TypeError(f"given must be an object of strings, got {json.dumps(given)}") from None
+    return Premise(kind, doc["text"], clause_ref, variable, tuple(sorted(given.items())))
 
 
 def _binding_from_dict(doc: dict) -> Binding:

@@ -27,20 +27,24 @@ Both engines read one compiled form of the network and take evidence and
 targets through one validator. Evidence maps a variable to a state or to a
 *set* of allowed states, which conditioning on a negated program atom needs.
 
-:func:`compile_network` builds that form once; :func:`constrained_sweep`,
-:func:`masked_posterior`, :func:`posterior` and :func:`eliminate` take either
-a network, which they compile per call, or a compiled form, which a caller
-asking many queries of one network (dataset generation, subnetwork
-extraction, program evaluation) builds once and passes to each. The
-elimination factors and the moral graph are built on the form's first
-elimination, so an enumeration sweep never pays for them.
+:func:`compile_network` returns that form. The network keeps its compiled
+data and every call reuses it while the network holds the same Variable and
+CPT objects, so :func:`constrained_sweep`, :func:`masked_posterior`,
+:func:`posterior` and :func:`eliminate` compile a network once however many
+queries it is asked (they also take a form in place of the network). The
+elimination factors and the moral graph are built on the first elimination,
+so an enumeration sweep never pays for them. Each query variable's plan (the
+order, its largest table and each bucket's members) is worked out on its
+first query and kept, since masks are unary and the plan does not depend on
+evidence; every later query on it builds its masks, multiplies and sums.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import AbstractSet, Container, Iterable, Mapping, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,20 +81,26 @@ class QueryResult:
 # ---------------------------------------------------------------------------
 
 
-class CompiledNetwork:
-    """Integer-indexed form of a network, read by both engines.
+class _Core:
+    """What a network compiles to, holding no reference to the network, so
+    that the network can keep it (:func:`compile_network`) with no reference
+    cycle.
 
     ``tables[i]`` is the CPT of ``order[i]`` (topological) as a read-only 2-D
     float array, one row per parent assignment in :func:`parent_assignments`
     order and one column per state; ``strides[i]`` maps parent states to a
-    row. The form never changes once built, so one form can answer any number
-    of queries on its network; :func:`compile_network` makes one.
+    row. ``source`` holds the names, Variables and CPTs it was compiled
+    from. Nothing here changes once built, except that the
+    elimination factors, the moral graph and each query variable's plan are
+    built on first use and kept.
     """
 
-    __slots__ = ("network", "order", "pos", "card", "parent_pos", "strides", "tables", "_factors", "_moral")
+    __slots__ = (
+        "source", "order", "pos", "card", "parent_pos", "strides", "tables", "_factors", "_moral", "_plans",
+    )
 
     def __init__(self, network: BayesianNetwork):
-        self.network = network
+        self.source = _source(network)
         self.order: tuple[str, ...] = tuple(topological_order(network))
         self.pos: dict[str, int] = {}
         self.card: dict[str, int] = {}
@@ -110,6 +120,124 @@ class CompiledNetwork:
             self.tables.append(table)
         self._factors: tuple[_Factor, ...] | None = None
         self._moral: dict[str, frozenset[str]] | None = None
+        self._plans: dict[str, _Plan] = {}
+
+    def compiled_from(self, network: BayesianNetwork) -> bool:
+        """Whether ``network`` still holds the very names, Variables and CPTs,
+        in the same order, that this was compiled from."""
+
+        now = _source(network)
+        return len(now) == len(self.source) and all(map(operator.is_, now, self.source))
+
+    def factors(self) -> tuple[_Factor, ...]:
+        """One factor per CPT, in declaration order, built on first use: each
+        is the CPT's table reshaped to one axis per parent, in parent order,
+        and a last axis for the variable, so it shares the table's memory.
+        Elimination only reads them: every product and sum makes a new
+        table."""
+
+        if self._factors is None:
+            out = []
+            for v in self.source[: len(self.order)]:  # the names, in declaration order
+                i = self.pos[v]
+                scope = tuple([self.order[p] for p in self.parent_pos[i]]) + (v,)
+                out.append(_Factor(scope, self.tables[i].reshape([self.card[u] for u in scope])))
+            self._factors = tuple(out)
+        return self._factors
+
+    def moral(self) -> dict[str, frozenset[str]]:
+        """Each variable's neighbours in the moral graph (the union of the CPT
+        scopes it shares); built on first use."""
+
+        if self._moral is None:
+            linked: dict[str, set[str]] = {v: set() for v in self.order}
+            for f in self.factors():
+                for a in f.vars:
+                    linked[a].update(f.vars)
+            self._moral = {v: frozenset(n - {v}) for v, n in linked.items()}
+        return self._moral
+
+    def plan(self, variable: str) -> _Plan:
+        """The elimination plan for a query on ``variable``, worked out on
+        first use and kept: masks are unary, so no plan depends on evidence."""
+
+        plan = self._plans.get(variable)
+        if plan is not None:
+            return plan
+        card = self.card
+
+        # min degree, ties by name. An eliminated variable leaves every neighbour
+        # set, so the only neighbour not to be eliminated is ``variable``. A
+        # bucket's product spans its variable and that variable's neighbours.
+        # Masks are unary, so they add no edge to the moral graph.
+        to_eliminate = set(self.order) - {variable}
+        neighbors: dict[str, set[str]] = {v: set(n) for v, n in self.moral().items()}
+        order: list[str] = []
+        largest = 0
+        while to_eliminate:
+            target = min(to_eliminate, key=lambda v: (len(neighbors[v]) - (variable in neighbors[v]), v))
+            linked = neighbors.pop(target)
+            largest = max(largest, card[target] * math.prod(card[a] for a in linked))
+            for a in linked:
+                neighbors[a].discard(target)
+                neighbors[a].update(linked - {a})
+            to_eliminate.discard(target)
+            order.append(target)
+
+        # A CPT, and a bucket's result, joins the bucket of the first variable
+        # of its scope to be eliminated; what no bucket takes is left for
+        # ``variable``. Taken in declaration and creation order, each bucket
+        # lists them as a walk over one list of factors would meet them.
+        scopes = [f.vars for f in self.factors()]
+        rank = {v: k for k, v in enumerate(order)}
+        last = len(order)
+        cpts: list[list[int]] = [[] for _ in range(last + 1)]
+        earlier: list[list[int]] = [[] for _ in range(last + 1)]
+        for i, scope in enumerate(scopes):
+            cpts[min([rank.get(v, last) for v in scope])].append(i)
+        made: list[set[str]] = []
+        for k, target in enumerate(order):
+            scope = set().union(*[scopes[i] for i in cpts[k]], *[made[j] for j in earlier[k]])
+            scope.discard(target)
+            made.append(scope)
+            earlier[min([rank.get(v, last) for v in scope], default=last)].append(k)
+        buckets = tuple((target, tuple(cpts[k]), tuple(earlier[k])) for k, target in enumerate(order))
+        plan = self._plans[variable] = _Plan(largest, buckets, (tuple(cpts[last]), tuple(earlier[last])))
+        return plan
+
+
+def _source(network: BayesianNetwork) -> tuple[object, ...]:
+    """What a compile reads from ``network``, in order: its names, its
+    Variables, its CPTs' names and its CPTs."""
+
+    return (*network.variables, *network.variables.values(), *network.cpts, *network.cpts.values())
+
+
+class _Plan(NamedTuple):
+    """How one query variable's elimination runs: ``largest`` is the entry
+    count of the largest product, each bucket is ``(variable, CPT indices,
+    indices of earlier buckets' results)`` in elimination order, and
+    ``final`` holds the CPT and result indices left for the query variable."""
+
+    largest: int
+    buckets: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]
+    final: tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class CompiledNetwork:
+    """A network and its compiled form, which both engines read.
+
+    ``core`` holds the integer-indexed tables (see :class:`_Core`), which
+    never change once built, so one form can answer any number of queries on
+    its network. ``CompiledNetwork(network)`` compiles afresh;
+    :func:`compile_network` reuses the form kept on the network.
+    """
+
+    __slots__ = ("network", "core")
+
+    def __init__(self, network: BayesianNetwork, core: _Core | None = None):
+        self.network = network
+        self.core = _Core(network) if core is None else core
 
     # a network's read API, so that code reading the argument of an engine
     # call as a network (qabench's traced world counter) can take a form
@@ -120,39 +248,26 @@ class CompiledNetwork:
     def states(self, variable: str) -> tuple[str, ...]:
         return self.network.states(variable)
 
-    def factors(self) -> tuple[_Factor, ...]:
-        """One factor per CPT, in declaration order, built on first use: each
-        is ``tables[i]`` reshaped to one axis per parent, in parent order, and
-        a last axis for the variable, so it shares the table's memory.
-        Elimination only reads them: every product and sum makes a new
-        table."""
-
-        if self._factors is None:
-            out = []
-            for v in self.network.variables:
-                scope = self.network.cpts[v].parents + (v,)
-                out.append(_Factor(scope, self.tables[self.pos[v]].reshape([self.card[u] for u in scope])))
-            self._factors = tuple(out)
-        return self._factors
-
-    def moral(self) -> dict[str, frozenset[str]]:
-        """Each variable's neighbours in the moral graph (the union of the CPT
-        scopes it shares); built on first use."""
-
-        if self._moral is None:
-            linked: dict[str, set[str]] = {v: set() for v in self.network.variables}
-            for f in self.factors():
-                for a in f.vars:
-                    linked[a].update(f.vars)
-            self._moral = {v: frozenset(n - {v}) for v, n in linked.items()}
-        return self._moral
-
 
 def compile_network(network: BayesianNetwork | CompiledNetwork) -> CompiledNetwork:
     """The compiled form of ``network``; a form that is already compiled is
-    returned as it is."""
+    returned as it is.
 
-    return network if isinstance(network, CompiledNetwork) else CompiledNetwork(network)
+    The compiled data is kept on the network and reused while the network
+    holds the very names, Variables and CPTs, in the same order, that it was
+    compiled from (an O(n) identity check), so every engine call on one
+    network shares one compile, its elimination factors and its per-variable
+    plans. Replacing, adding or deleting a Variable or a CPT compiles anew.
+    The kept data holds no reference to the network; the form returned pairs
+    the two.
+    """
+
+    if isinstance(network, CompiledNetwork):
+        return network
+    core = network._compiled
+    if core is None or not core.compiled_from(network):
+        core = network._compiled = _Core(network)
+    return CompiledNetwork(network, core)
 
 
 def _normalize_constraints(
@@ -262,11 +377,12 @@ def constrained_sweep(
     :data:`MAX_JOINT_STATES` assignments.
     """
 
-    c = compile_network(network)
+    form = compile_network(network)
+    c = form.core
     allowed_idx: list[Sequence[int]] = [range(c.card[v]) for v in c.order]
-    for var, idx in _normalize_constraints(c.network, constraints.items()):
+    for var, idx in _normalize_constraints(form.network, constraints.items()):
         allowed_idx[c.pos[var]] = idx
-    target_idx = [(state, c.pos[v]) for v, (state,) in _normalize_constraints(c.network, targets)]
+    target_idx = [(state, c.pos[v]) for v, (state,) in _normalize_constraints(form.network, targets)]
     joint = math.prod(len(idx) for idx in allowed_idx)
     if joint > MAX_JOINT_STATES:
         raise EnumerationBoundExceeded(
@@ -360,17 +476,28 @@ def _multiply(a: _Factor, b: _Factor, card: Mapping[str, int]) -> _Factor:
     return _Factor(scope, np.multiply(a.values, bv, order="C"))
 
 
+# a table of at most this many entries is summed by one ufunc call, which is
+# faster there than a call per slab and slower on large tables
+_REDUCE_ENTRIES = 256
+
+
 def _sum_out(f: _Factor, var: str) -> _Factor:
-    """``f`` summed over ``var``: its first slab plus +0.0 (``np.sum``'s
-    start, so a sum of signed zeros is +0.0), then the other slabs added in
-    state order."""
+    """``f`` summed over ``var``: +0.0 (``np.sum``'s start, so a sum of
+    signed zeros is +0.0) plus the slabs in state order. A small table whose
+    ``var`` has fewer than 8 states, which ``np.add.reduce`` adds one by one
+    (it adds 8 or more pairwise), is summed in one call; any other is summed
+    slab by slab."""
 
     axis = f.vars.index(var)
+    values = f.values
+    rest = f.vars[:axis] + f.vars[axis + 1 :]
+    if values.size <= _REDUCE_ENTRIES and values.shape[axis] < 8:
+        return _Factor(rest, np.add.reduce(values, axis=axis, initial=0.0))
     lead = (slice(None),) * axis
-    out = f.values[lead + (0,)] + 0.0
-    for s in range(1, f.values.shape[axis]):
-        out += f.values[lead + (s,)]
-    return _Factor(f.vars[:axis] + f.vars[axis + 1 :], out)
+    out = values[lead + (0,)] + 0.0
+    for s in range(1, values.shape[axis]):
+        out += values[lead + (s,)]
+    return _Factor(rest, out)
 
 
 def masked_posterior(
@@ -382,61 +509,60 @@ def masked_posterior(
 
     ``constraints`` maps variables to an allowed state or set of allowed
     states; the target variable itself may be constrained. Summing the result
-    gives the probability of the constraint event. The elimination order is
-    worked out on the moral graph before any table is made; raises
-    :class:`FactorBoundExceeded` when a bucket's product would hold more than
-    :data:`MAX_FACTOR_ENTRIES` entries.
+    gives the probability of the constraint event. The elimination plan of
+    ``variable`` is worked out on the moral graph before any table is made,
+    on its first query, and kept; every call raises
+    :class:`FactorBoundExceeded`, before any table, when the plan's largest
+    product would hold more than :data:`MAX_FACTOR_ENTRIES` entries.
     """
 
-    c = compile_network(network)
-    net = c.network
-    allowed = _normalize_constraints(net, constraints.items())
-    net.states(variable)  # an unknown variable fails here
+    form = compile_network(network)
+    allowed = _normalize_constraints(form.network, constraints.items())
+    form.network.states(variable)  # an unknown variable fails here
+    c = form.core
     card = c.card
-
-    # min degree, ties by name. An eliminated variable leaves every neighbour
-    # set, so the only neighbour not to be eliminated is ``variable``. A
-    # bucket's product spans its variable and that variable's neighbours.
-    # Masks are unary, so they add no edge to the moral graph.
-    to_eliminate = set(net.variables) - {variable}
-    neighbors: dict[str, set[str]] = {v: set(n) for v, n in c.moral().items()}
-    order: list[str] = []
-    largest = 0
-    while to_eliminate:
-        target = min(to_eliminate, key=lambda v: (len(neighbors[v]) - (variable in neighbors[v]), v))
-        linked = neighbors.pop(target)
-        largest = max(largest, card[target] * math.prod(card[a] for a in linked))
-        for a in linked:
-            neighbors[a].discard(target)
-            neighbors[a].update(linked - {a})
-        to_eliminate.discard(target)
-        order.append(target)
-    if largest > MAX_FACTOR_ENTRIES:
+    plan = c.plan(variable)
+    if plan.largest > MAX_FACTOR_ENTRIES:
         raise FactorBoundExceeded(
-            f"elimination would build a table of {largest} entries, more than the bound of {MAX_FACTOR_ENTRIES}"
+            f"elimination would build a table of {plan.largest} entries, more than the bound of {MAX_FACTOR_ENTRIES}"
         )
 
-    # CPTs in declaration order, then masks: each bucket multiplies in this order
-    factors: list[_Factor] = list(c.factors())
+    masks: dict[str, _Factor] = {}
     for var, idx in allowed:
         mask = np.zeros(card[var])
         mask[list(idx)] = 1.0
-        factors.append(_Factor((var,), mask))
+        masks[var] = _Factor((var,), mask)
 
-    for target in order:
-        bucket = [f for f in factors if target in f.vars]
-        factors = [f for f in factors if target not in f.vars]
+    factors = c.factors()
+    results: list[_Factor | None] = []
+
+    def gather(target: str, cpts: tuple[int, ...], earlier: tuple[int, ...]) -> list[_Factor]:
+        """A bucket's factors in the order they are multiplied: CPTs in
+        declaration order, the mask, then earlier results in creation order.
+        A result leaves ``results`` as its bucket takes it, so that it is
+        freed once multiplied in."""
+
+        bucket = [factors[i] for i in cpts]
+        if target in masks:
+            bucket.append(masks[target])
+        for j in earlier:
+            bucket.append(results[j])
+            results[j] = None
+        return bucket
+
+    for target, cpts, earlier in plan.buckets:
+        bucket = gather(target, cpts, earlier)
         # each factor is dropped once multiplied in, so it can be freed
         bucket.reverse()
         prod = bucket.pop()
         while bucket:
             prod = _multiply(prod, bucket.pop(), card)
-        factors.append(_sum_out(prod, target))
+        results.append(_sum_out(prod, target))
 
     # the factors left hold no variable but ``variable``, which is never
     # eliminated; a product started from ones spans it, and 1.0 * x is x
     result = _Factor((variable,), np.ones(card[variable]))
-    for f in factors:
+    for f in gather(variable, *plan.final):
         result = _multiply(result, f, card)
     values = result.values
     low = values.min()

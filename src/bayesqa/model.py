@@ -57,12 +57,20 @@ class BayesianNetwork:
 
     ``entity`` is the constant used when the network is rendered as a logic
     program (e.g. ``patient``); it has no probabilistic meaning.
+
+    The inference engines keep the network's compiled form on the network and
+    reuse it while ``variables`` and ``cpts`` hold the very same objects, in
+    the same order. So a Variable or a CPT is replaced (``net.cpts[v] =
+    Cpt(...)``), never edited in place: an edited ``rows`` mapping would leave
+    a stale form in use.
     """
 
     name: str
     variables: dict[str, Variable] = field(default_factory=dict)
     cpts: dict[str, Cpt] = field(default_factory=dict)
     entity: str = "x"
+    # the engines' memo (inference._Core); it holds no reference to the network
+    _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def states(self, variable: str) -> tuple[str, ...]:
         try:

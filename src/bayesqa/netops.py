@@ -17,7 +17,7 @@ from collections import deque
 from typing import Iterable
 
 from .errors import UnknownVariable, ZeroProbabilityEvidence
-from .inference import compile_network, posterior
+from .inference import posterior
 from .model import BayesianNetwork, Cpt, Variable, assignment_grid
 
 
@@ -53,7 +53,6 @@ def subset(network: BayesianNetwork, keep: Iterable[str]) -> BayesianNetwork:
         if vid not in network.variables:
             raise UnknownVariable(f"unknown variable {vid!r} in keep set")
     kept_set = set(kept)
-    form = compile_network(network)
 
     out = BayesianNetwork(name=network.name, entity=network.entity)
     for vid in network.variables:  # preserve original declaration order
@@ -70,7 +69,7 @@ def subset(network: BayesianNetwork, keep: Iterable[str]) -> BayesianNetwork:
         for key in assignment_grid(network, new_parents):
             constraints = {p: s for p, s in zip(new_parents, key)}
             try:
-                rows[key] = posterior(form, vid, constraints)
+                rows[key] = posterior(network, vid, constraints)
             except ZeroProbabilityEvidence:
                 k = len(var.states)
                 rows[key] = tuple(1.0 / k for _ in range(k))

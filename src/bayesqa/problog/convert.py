@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Container, Iterable
 
 from ..errors import NetworkFormatError, UnknownClause, UnsupportedFragment
-from ..inference import CompiledNetwork, compile_network
+from ..inference import compile_network
 from ..model import (
     ROW_SUM_TOLERANCE,
     BayesianNetwork,
@@ -107,12 +107,10 @@ _VarKey = Atom | tuple[str, tuple[str, ...]]
 @dataclass
 class CompiledProgram:
     """A program lowered to a Bayesian network plus its atom table: every head
-    atom mapped to ``(variable id, the state the atom asserts)``, and the
-    network's compiled form, which the engines read."""
+    atom mapped to ``(variable id, the state the atom asserts)``."""
 
     network: BayesianNetwork
     atoms: dict[Atom, tuple[str, str]]
-    form: CompiledNetwork = field(init=False, repr=False, compare=False)
 
     def resolve_atom(self, atom: Atom) -> tuple[str, str]:
         """Map a positive atom to ``(variable id, state name)``."""
@@ -233,10 +231,11 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
     for key, vid in ids.items():
         net.cpts[vid] = _partition(net, vid, clause_rows[key])
 
-    # the passes above enforce every other invariant of model.validate; the
-    # compiled form orders the variables, which is the check for cycles
+    # the passes above enforce every other invariant of model.validate;
+    # compiling orders the variables, which is the check for cycles, and the
+    # network keeps its compiled form for the engines
     try:
-        compiled.form = compile_network(net)
+        compile_network(net)
     except NetworkFormatError as exc:
         raise UnsupportedFragment(f"program does not encode a valid network: [cycle] network: {exc}") from None
     return compiled

@@ -39,17 +39,17 @@ def evaluate(program: ProblogProgram, *, method: str = "enumeration") -> dict[At
     if method not in ("enumeration", "elimination"):
         raise ValueError(f"unknown method {method!r}")
     compiled = compile_program(program)
-    net, form = compiled.network, compiled.form
+    net = compiled.network
 
     constraints = compiled.conjunction((ev.atom, ev.value) for ev in program.evidence)
     targets = [compiled.resolve_atom(q.atom) for q in program.queries]
 
     if method == "enumeration":
-        probabilities = _conditionals(constraints, *constrained_sweep(form, constraints, targets))
+        probabilities = _conditionals(constraints, *constrained_sweep(net, constraints, targets))
         return {q.atom: p for q, p in zip(program.queries, probabilities)}
 
     return {
-        q.atom: posterior(form, vid, constraints)[net.states(vid).index(state)]
+        q.atom: posterior(net, vid, constraints)[net.states(vid).index(state)]
         for q, (vid, state) in zip(program.queries, targets)
     }
 

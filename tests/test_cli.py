@@ -199,6 +199,11 @@ class TestInputErrors:
             ("reasoning_types", ["causal", 1], 'reasoning_types must be a list of strings, got ["causal", 1]'),
             ("premises.0.clause_ref", True, "clause_ref must be an integer, got true"),
             ("premises.3.clause_ref", 1.5, "clause_ref must be an integer, got 1.5"),
+            ("premises.0.kind", 5, 'kind must be "numeric" or "wep", got 5'),
+            ("premises.2.kind", "verbal", 'kind must be "numeric" or "wep", got "verbal"'),
+            ("premises.1.variable", None, "variable must be a string, got null"),
+            ("premises.4.given", {"x": 7}, 'given must be an object of strings, got {"x": 7}'),
+            ("premises.4.given", ["x", "y"], 'given must be an object of strings, got ["x", "y"]'),
             ("evidence.0.variable", 7, "variable must be a string, got 7"),
             ("evidence.0.text", None, "text must be a string, got null"),
             ("question.state", None, "state must be a string, got null"),
@@ -847,3 +852,33 @@ class TestGlobalFlags:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_calls_share_no_parsed_state(self, capsys, monkeypatch):
+        # the parser is built once per process; each call's output is the
+        # one it gives as the first call of a fresh parser
+        calls = [
+            ("--seed", "5", "--precision", "3", "infer", NET, "--query", "gallstones=true",
+             "--evidence", "flatulence=true", "--method", "elimination"),
+            ("infer", NET, "--query", "gallstones=true"),
+            ("--format", "machine", "classify", NET, "--query", "gallstones", "--evidence", "flatulence"),
+            ("classify", NET, "--query", "gallstones"),
+            ("infer", NET, "--query", "gallstones=true", "--evidence", "amylase=0-299"),
+            ("infer", NET, "--query", "gallstones=true"),
+        ]
+        alone = []
+        for argv in calls:
+            bayesqa.cli._parser.cache_clear()
+            alone.append(run(capsys, *argv))
+        built = []
+        build = bayesqa.cli.build_parser
+        monkeypatch.setattr(bayesqa.cli, "build_parser", lambda: built.append(1) or build())
+        bayesqa.cli._parser.cache_clear()
+        assert [run(capsys, *argv) for argv in calls] == alone
+        assert len(built) == 1
+        assert alone[1] == alone[5] and alone[0] != alone[1] != alone[4]
+        # a command is looked up when it runs, so a wrapper set after the
+        # parser was built is the one called
+        seen = []
+        infer = bayesqa.cli.cmd_infer
+        monkeypatch.setattr(bayesqa.cli, "cmd_infer", lambda args: seen.append(args.query) or infer(args))
+        assert run(capsys, *calls[1]) == alone[1] and seen == [("gallstones", "true")]

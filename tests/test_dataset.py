@@ -37,7 +37,7 @@ from bayesqa.errors import (
     UnsatisfiableEvidence,
     ZeroProbabilityEvidence,
 )
-from bayesqa.inference import compile_network, eliminate
+from bayesqa.inference import CompiledNetwork, eliminate
 from bayesqa.model import parent_assignments, topological_order
 from bayesqa.problog import evaluate, serialize
 from bayesqa.wep import verbalize_distribution
@@ -225,7 +225,8 @@ class TestSampleQe:
     def test_shared_form_matches_the_per_draw_path(self, monkeypatch):
         """Every draw on one compiled form goes through the public
         ``eliminate`` and gives the pair, and leaves the rng state, of the
-        path that compiles the network again for each draw."""
+        path that reads the form kept on the network; the form is compiled
+        apart from that one."""
 
         draws = {"form": 0, "rejected": 0}
 
@@ -249,7 +250,7 @@ class TestSampleQe:
         rng = np.random.default_rng(8080)
         for i in range(500):
             net = netgen.with_zeros(rng, netgen.random_network(rng, name=f"qe{i}", max_vars=7))
-            form = compile_network(net)
+            form = CompiledNetwork(net)
             for j in range(2):
                 shared, fresh = np.random.default_rng([i, j]), np.random.default_rng([i, j])
                 assert outcome(form, shared) == outcome(net, fresh), net.name

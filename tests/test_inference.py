@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import json
 import re
 import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from bayesqa.errors import (
     ZeroProbabilityEvidence,
 )
 from bayesqa.inference import (
+    CompiledNetwork,
     _Factor,
     compile_network,
     conditional_query,
@@ -33,7 +37,8 @@ from bayesqa.inference import (
     masked_posterior,
     posterior,
 )
-from bayesqa.model import make_network, topological_order
+from bayesqa.model import Cpt, Variable, children, make_network, topological_order
+from bayesqa.problog.convert import compile_program
 from conftest import three_state_chain
 
 
@@ -225,18 +230,20 @@ def _cliff_networks():
 class TestEliminationMemory:
     def test_refuses_by_predicted_size_before_any_table(self):
         # the corner's elimination would build a 2**25-entry (256 MiB) table
+        # and a second query, on a plan kept from the first, is refused alike
         net = _grid(16)
-        tracemalloc.start()
-        try:
-            with pytest.raises(FactorBoundExceeded) as info:
-                eliminate(net, "g15_15", "t", {"g0_0": "t"})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-        assert str(info.value) == (
-            "elimination would build a table of 33554432 entries, more than the bound of 10000000"
-        )
+        for evidence in ({"g0_0": "t"}, {"g0_1": "f"}):
+            tracemalloc.start()
+            try:
+                with pytest.raises(FactorBoundExceeded) as info:
+                    eliminate(net, "g15_15", "t", evidence)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert str(info.value) == (
+                "elimination would build a table of 33554432 entries, more than the bound of 10000000"
+            )
 
     def test_predicts_the_largest_table_it_builds(self, monkeypatch):
         net = _grid(12)
@@ -278,10 +285,10 @@ class TestLayouts:
     def test_factors_are_views_of_the_tables(self, gallstone_net):
         rng = np.random.default_rng(31)
         for net in (gallstone_net, _chain(), *(netgen.random_network(rng, name=f"view{i}") for i in range(20))):
-            form = compile_network(net)
-            for v, f in zip(net.variables, form.factors(), strict=True):
+            core = compile_network(net).core
+            for v, f in zip(net.variables, core.factors(), strict=True):
                 assert f.vars == net.cpts[v].parents + (v,)
-                assert np.shares_memory(f.values, form.tables[form.pos[v]])
+                assert np.shares_memory(f.values, core.tables[core.pos[v]])
 
     @pytest.mark.parametrize("share", [1, 10**9], ids=["copied", "strided"])
     def test_extra_variables_go_in_front(self, monkeypatch, share):
@@ -307,7 +314,7 @@ class TestLayouts:
             for v in net.variables:
                 values = masked_posterior(form, v, {})
                 assert values.flags.writeable
-                assert not any(np.shares_memory(values, t) for t in form.tables)
+                assert not any(np.shares_memory(values, t) for t in form.core.tables)
 
     def test_cliff_answers_keep_their_bits(self):
         # float.hex of each cliff network's answer, whose 3**13-entry
@@ -629,6 +636,24 @@ class TestPinnedBits:
             assert np.array_equal(masked_posterior(net, qv, constraints), want), net.name
 
 
+    def test_one_call_sum_matches_the_slab_sum(self, monkeypatch):
+        # a small table is summed by one np.add.reduce, a large one slab by
+        # slab; both must give the same bits, signed zeros included
+        rng = np.random.default_rng(8989)
+        tables = []
+        for _ in range(3000):
+            shape = tuple(int(k) for k in rng.integers(1, 8, size=int(rng.integers(1, 5))))
+            values = rng.random(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            values[rng.random(shape) < 0.3] = -0.0
+            tables.append(_Factor(tuple(f"x{a}" for a in range(len(shape))), values))
+        axes = [f"x{int(rng.integers(len(f.vars)))}" for f in tables]
+        one_call = [inference._sum_out(f, var).values for f, var in zip(tables, axes)]
+        monkeypatch.setattr(inference, "_REDUCE_ENTRIES", -1)
+        for f, var, got in zip(tables, axes, one_call):
+            want = inference._sum_out(f, var).values
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert sum(f.values.size <= 256 for f in tables) > 1000
+
     def test_nine_states_add_in_state_order(self):
         # np.sum would add this 9-state axis pairwise, to 0x1.fced916872b03p-2
         states = tuple(f"s{j}" for j in range(9))
@@ -645,8 +670,9 @@ class TestPinnedBits:
 
 
 class TestCompiledForm:
-    """One compiled form answering many queries gives exactly what a fresh
-    compile per query gives, zero-mass reports included."""
+    """The compiled form kept on a network, and the plans it keeps, give
+    exactly what a compile that bypasses them gives (``CompiledNetwork(net)``,
+    made per call), zero-mass reports included."""
 
     @staticmethod
     def _outcome(call):
@@ -665,11 +691,13 @@ class TestCompiledForm:
             for _ in range(3):
                 qv, qs, ev = netgen.random_point_query(rng, net)
                 shared = self._outcome(lambda: eliminate(form, qv, qs, ev).probability.hex())
-                fresh = self._outcome(lambda: eliminate(net, qv, qs, ev).probability.hex())
+                fresh = self._outcome(lambda: eliminate(CompiledNetwork(net), qv, qs, ev).probability.hex())
                 assert shared == fresh, net.name
                 zero_mass += shared.startswith("ZeroProbabilityEvidence")
-                assert self._outcome(lambda: posterior(form, qv, ev)) == self._outcome(lambda: posterior(net, qv, ev))
-                assert np.array_equal(masked_posterior(form, qv, ev), masked_posterior(net, qv, ev)), net.name
+                assert self._outcome(lambda: posterior(form, qv, ev)) == self._outcome(
+                    lambda: posterior(CompiledNetwork(net), qv, ev)
+                )
+                assert np.array_equal(masked_posterior(form, qv, ev), masked_posterior(CompiledNetwork(net), qv, ev))
         assert zero_mass > 0  # the raising path was exercised too
 
     def test_elimination_leaves_the_form_unchanged(self, gallstone_net):
@@ -678,17 +706,110 @@ class TestCompiledForm:
         for v in gallstone_net.variables:
             posterior(form, v, {})
             posterior(form, v, {"gallstones": {"true"}})
-        fresh = compile_network(gallstone_net)
-        assert form.moral() == fresh.moral()
-        for a, b in zip(form.factors(), fresh.factors(), strict=True):
+        fresh = CompiledNetwork(gallstone_net).core
+        assert form.core.moral() == fresh.moral()
+        for a, b in zip(form.core.factors(), fresh.factors(), strict=True):
             assert a.vars == b.vars and np.array_equal(a.values, b.values)
         assert eliminate(form, "amylase", "500-1400", {"flatulence": "true"}) == first
 
+    def test_calls_share_one_compiled_core(self):
+        net = _chain()
+        eliminate(net, "a", "t", {"c": "t"})
+        core = net._compiled
+        plan = core.plan("a")
+        eliminate(net, "a", "f", {"b": "f"})
+        posterior(net, "a", {"c": {"t", "f"}})
+        constrained_sweep(net, {"c": "t"}, [("a", "t")])
+        assert compile_network(net).core is core and net._compiled is core
+        assert core.plan("a") is plan and list(core._plans) == ["a"]  # one plan per query variable
+
+    @staticmethod
+    def _edit(rng, net, kind):
+        """Replace every CPT, add a child, delete a leaf, or replace a Variable."""
+
+        if kind == 0:
+            netgen.with_zeros(rng, net)
+        elif kind == 1:
+            parent = sorted(net.variables)[int(rng.integers(len(net.variables)))]
+            rows = {(s,): netgen.grid_row(rng, 3) for s in net.states(parent)}
+            net.variables["added"] = Variable("added", "added", ("s0", "s1", "s2"))
+            net.cpts["added"] = Cpt("added", (parent,), rows)
+        elif kind == 2:
+            leaf = max(v for v in net.variables if not children(net, v))
+            del net.variables[leaf], net.cpts[leaf]
+        else:
+            v = min(net.variables)
+            net.variables[v] = replace(net.variables[v], name=v + "_renamed")
+
+    def test_edits_compile_anew(self):
+        rng = np.random.default_rng(2121)
+        for i in range(200):
+            net = netgen.random_network(rng, name=f"edit{i}", max_vars=7)
+            for kind in range(5):
+                qv, _, ev = netgen.random_point_query(rng, net)
+                cons = {v: {s} if rng.random() < 0.5 else set(net.states(v)) for v, s in ev.items()}
+                got = masked_posterior(net, qv, cons)
+                want = masked_posterior(CompiledNetwork(net), qv, cons)
+                assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist())), (net.name, kind)
+                assert constrained_sweep(net, cons, [(qv, net.states(qv)[0])]) == constrained_sweep(
+                    CompiledNetwork(net), cons, [(qv, net.states(qv)[0])]
+                )
+                if kind < 4:
+                    core = net._compiled
+                    self._edit(rng, net, kind)
+                    assert compile_network(net).core is not core, (net.name, kind)
+
+    def test_cached_plans_match_fresh_forms(self):
+        rng = np.random.default_rng(7373)
+        asked = 0
+        for i in range(500):
+            net = netgen.random_network(rng, name=f"plan{i}", max_vars=8, max_states=5)
+            if i % 2:
+                net = netgen.with_zeros(rng, net)
+            queries = []
+            for v in net.variables:
+                for _ in range(2):  # so that a kept plan meets new evidence
+                    _, _, ev = netgen.random_point_query(rng, net)
+                    cons = {
+                        u: s if rng.random() < 0.5 else {t for t in net.states(u) if t == s or rng.random() < 0.5}
+                        for u, s in ev.items()
+                    }
+                    queries.append((v, cons))
+            for k in rng.permutation(len(queries)):
+                v, cons = queries[k]
+                got = masked_posterior(net, v, cons).tolist()
+                want = masked_posterior(CompiledNetwork(net), v, cons).tolist()
+                assert list(map(float.hex, got)) == list(map(float.hex, want)), net.name
+                asked += 1
+        assert asked > 3000
+
+    def test_networks_are_freed_without_the_collector(self):
+        # the form kept on a network holds no reference back to it, so no
+        # cycle waits for the collector
+        net = netgen.random_network(np.random.default_rng(3), name="freed")
+        qv, qs, ev = netgen.random_point_query(np.random.default_rng(4), net)
+        program, _ = netgen.query_program(net, ev, qv)
+        gc.disable()
+        try:
+            eliminate(net, qv, qs, ev)
+            constrained_sweep(net, ev, [(qv, qs)])
+            freed = weakref.ref(net)
+            del net
+            assert freed() is None
+            compiled = compile_program(program)
+            posterior(compiled.network, compiled.network.cpts[min(compiled.network.cpts)].variable)
+            freed = weakref.ref(compiled.network)
+            del compiled
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_enumeration_builds_no_factor_tables(self, gallstone_net, monkeypatch):
-        def refuse(self):
+        def refuse(*_):
             raise AssertionError("enumeration built elimination factors")
 
-        monkeypatch.setattr(inference.CompiledNetwork, "factors", refuse)
-        monkeypatch.setattr(inference.CompiledNetwork, "moral", refuse)
+        monkeypatch.setattr(inference._Core, "factors", refuse)
+        monkeypatch.setattr(inference._Core, "moral", refuse)
+        monkeypatch.setattr(inference._Core, "plan", refuse)
         assert conditional_query(gallstone_net, "amylase", "500-1400", {"flatulence": "true"}).probability > 0
         assert marginal(gallstone_net, {"flatulence": "true"}) > 0
