@@ -17,10 +17,10 @@ serially: the work is pure Python, and a thread pool measured slower than
 one thread.
 
 Whatever depends only on the network is built once per network and shared
-by its instances: the premises tuple, the compiled form that the network
-keeps and every evidence draw of every instance is answered on, with one
-elimination plan per query variable
-(:func:`~bayesqa.inference.compile_network`), the program encoding
+by its instances: the premises tuple, the
+:class:`~bayesqa.inference.CompiledNetwork` that the network keeps and every
+evidence draw of every instance is answered on, with one elimination plan per
+query variable (:func:`~bayesqa.inference.compile_network`), the program encoding
 (:class:`NetworkEncoder`: ``bn_to_problog`` clauses, their canonical text
 and the predicates a negated-query indicator must avoid), and, in
 :func:`save_dataset`, the JSON text of the premise block. Per instance, only
@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NetworkFormatError, UnsatisfiableEvidence, ZeroProbabilityEvidence
-from .inference import CompiledNetwork, _check_overlap, eliminate
+from .inference import _check_overlap, eliminate
 from .model import (
     BayesianNetwork,
     children,
@@ -201,21 +201,17 @@ def template_premises(
 # ---------------------------------------------------------------------------
 
 
-def sample_qe(
-    network: BayesianNetwork | CompiledNetwork,
-    rng: np.random.Generator,
-) -> QePair:
+def sample_qe(network: BayesianNetwork, rng: np.random.Generator) -> QePair:
     """Draw evidence over 1..n-1 variables plus a query about another one.
 
     Evidence assignments with probability zero are rejected and redrawn; after
     ``MAX_EVIDENCE_RETRIES`` rejections :class:`UnsatisfiableEvidence` is raised
     (the network is then near-deterministic and not a useful QA subject). Each
     draw is answered by :func:`~bayesqa.inference.eliminate` on ``network``,
-    whose compiled form every draw shares; a form may be passed in its place.
+    whose compiled form every draw shares.
     """
 
-    net = network.network if isinstance(network, CompiledNetwork) else network
-    ids = sorted(net.variables)
+    ids = sorted(network.variables)
     n = len(ids)
     if n < 2:
         raise ValueError("query/evidence sampling needs at least 2 variables")
@@ -231,9 +227,9 @@ def sample_qe(
         query_var = rest[int(rng.integers(len(rest)))]
         evidence = []
         for v in evidence_vars:
-            states = net.states(v)
+            states = network.states(v)
             evidence.append((v, states[int(rng.integers(len(states)))]))
-        qstates = net.states(query_var)
+        qstates = network.states(query_var)
         query_state = qstates[int(rng.integers(len(qstates)))]
         try:
             gold = eliminate(network, query_var, query_state, dict(evidence)).probability
@@ -487,9 +483,12 @@ def instance_from_dict(doc: dict) -> DatasetInstance:
 
 def _premise_from_dict(doc: dict) -> Premise:
     # one test per field; record_field and the raises only word the refusal
-    kind, variable, clause_ref, given = doc["kind"], doc["variable"], doc["clause_ref"], doc["given"]
+    kind, text, variable = doc["kind"], doc["text"], doc["variable"]
+    clause_ref, given = doc["clause_ref"], doc["given"]
     if kind not in ("numeric", "wep"):
         raise ValueError(f'kind must be "numeric" or "wep", got {json.dumps(kind)}')
+    if type(text) is not str:
+        record_field(doc, "text", "a string", str)
     if type(variable) is not str:
         record_field(doc, "variable", "a string", str)
     if type(clause_ref) is not int:
@@ -500,7 +499,7 @@ def _premise_from_dict(doc: dict) -> Premise:
         "".join(given.values())
     except (AttributeError, TypeError):
         raise TypeError(f"given must be an object of strings, got {json.dumps(given)}") from None
-    return Premise(kind, doc["text"], clause_ref, variable, tuple(sorted(given.items())))
+    return Premise(kind, text, clause_ref, variable, tuple(sorted(given.items())))
 
 
 def _binding_from_dict(doc: dict) -> Binding:

@@ -20,23 +20,24 @@ Two independent engines answer the same questions:
   extra variables in front of it, and a sum adds its slabs in state order.
   A layout only decides where an entry is stored: the floats multiplied, and
   the state order of every sum, do not depend on it. :func:`masked_posterior`
-  returns the unnormalized vector; :func:`posterior` is the one place it is
-  normalized, and :func:`eliminate` reads one entry of that result.
+  returns the unnormalized vector; :func:`posterior` and :func:`eliminate`
+  normalize it.
 
-Both engines read one compiled form of the network and take evidence and
-targets through one validator. Evidence maps a variable to a state or to a
-*set* of allowed states, which conditioning on a negated program atom needs.
+Every engine takes a network, reads names from it and indices from its
+:class:`CompiledNetwork`, and takes evidence and targets through one
+validator, which runs once per call. Evidence maps a variable to a state or
+to a *set* of allowed states, which conditioning on a negated program atom
+needs.
 
-:func:`compile_network` returns that form. The network keeps its compiled
-data and every call reuses it while the network holds the same Variable and
-CPT objects, so :func:`constrained_sweep`, :func:`masked_posterior`,
-:func:`posterior` and :func:`eliminate` compile a network once however many
-queries it is asked (they also take a form in place of the network). The
-elimination factors and the moral graph are built on the first elimination,
-so an enumeration sweep never pays for them. Each query variable's plan (the
-order, its largest table and each bucket's members) is worked out on its
-first query and kept, since masks are unary and the plan does not depend on
-evidence; every later query on it builds its masks, multiplies and sums.
+:func:`compile_network` returns the compiled network. The network keeps it
+and every call reuses it while the network holds the same Variable and CPT
+objects, so the engines compile a network once however many queries it is
+asked. The elimination factors and the moral graph are built on the first
+elimination, so an enumeration sweep never pays for them. Each query
+variable's plan (the order, its largest table and each bucket's members) is
+worked out on its first query and kept, since masks are unary and the plan
+does not depend on evidence; every later query on it builds its masks,
+multiplies and sums.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import (
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import BayesianNetwork, Variable, parent_assignments, state_index, topological_order
+from .model import BayesianNetwork, parent_assignments, state_index, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
@@ -66,6 +67,9 @@ MAX_JOINT_STATES = 2**20
 MAX_FACTOR_ENTRIES = 10**7
 
 Constraints = Mapping[str, "AbstractSet[str] | str"]
+
+# constraints as _normalize_constraints maps them: (variable, sorted state indices)
+_Indexed = list[tuple[str, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,11 @@ class QueryResult:
 # ---------------------------------------------------------------------------
 
 
-class _Core:
-    """What a network compiles to, holding no reference to the network, so
-    that the network can keep it (:func:`compile_network`) with no reference
-    cycle.
+class CompiledNetwork:
+    """What a network compiles to, which both engines read. It holds no
+    reference to the network, so that the network can keep it
+    (:func:`compile_network`) with no reference cycle;
+    ``CompiledNetwork(network)`` compiles afresh.
 
     ``tables[i]`` is the CPT of ``order[i]`` (topological) as a read-only 2-D
     float array, one row per parent assignment in :func:`parent_assignments`
@@ -224,55 +229,25 @@ class _Plan(NamedTuple):
     final: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class CompiledNetwork:
-    """A network and its compiled form, which both engines read.
+def compile_network(network: BayesianNetwork) -> CompiledNetwork:
+    """The compiled form of ``network``, which the network keeps.
 
-    ``core`` holds the integer-indexed tables (see :class:`_Core`), which
-    never change once built, so one form can answer any number of queries on
-    its network. ``CompiledNetwork(network)`` compiles afresh;
-    :func:`compile_network` reuses the form kept on the network.
+    It is reused while the network holds the very names, Variables and CPTs,
+    in the same order, that it was compiled from (an O(n) identity check), so
+    every engine call on one network shares one compile, its elimination
+    factors and its per-variable plans. Replacing, adding or deleting a
+    Variable or a CPT compiles anew.
     """
 
-    __slots__ = ("network", "core")
-
-    def __init__(self, network: BayesianNetwork, core: _Core | None = None):
-        self.network = network
-        self.core = _Core(network) if core is None else core
-
-    # a network's read API, so that code reading the argument of an engine
-    # call as a network (qabench's traced world counter) can take a form
-    @property
-    def variables(self) -> dict[str, Variable]:
-        return self.network.variables
-
-    def states(self, variable: str) -> tuple[str, ...]:
-        return self.network.states(variable)
-
-
-def compile_network(network: BayesianNetwork | CompiledNetwork) -> CompiledNetwork:
-    """The compiled form of ``network``; a form that is already compiled is
-    returned as it is.
-
-    The compiled data is kept on the network and reused while the network
-    holds the very names, Variables and CPTs, in the same order, that it was
-    compiled from (an O(n) identity check), so every engine call on one
-    network shares one compile, its elimination factors and its per-variable
-    plans. Replacing, adding or deleting a Variable or a CPT compiles anew.
-    The kept data holds no reference to the network; the form returned pairs
-    the two.
-    """
-
-    if isinstance(network, CompiledNetwork):
-        return network
-    core = network._compiled
-    if core is None or not core.compiled_from(network):
-        core = network._compiled = _Core(network)
-    return CompiledNetwork(network, core)
+    compiled = network._compiled
+    if compiled is None or not compiled.compiled_from(network):
+        compiled = network._compiled = CompiledNetwork(network)
+    return compiled
 
 
 def _normalize_constraints(
     network: BayesianNetwork, pairs: Iterable[tuple[str, "AbstractSet[str] | str"]]
-) -> list[tuple[str, tuple[int, ...]]]:
+) -> _Indexed:
     """Map ``(variable, state or set of states)`` pairs, in order, to sorted
     state indices; an unknown state fails in :func:`model.state_index`."""
 
@@ -284,12 +259,14 @@ def _normalize_constraints(
     return out
 
 
-def _check_query(network: BayesianNetwork, query_var: str, query_state: str, evidence: Mapping[str, str]) -> int:
-    """Check the query, then the evidence, then their overlap; return the query state's index."""
+def _check_query(network: BayesianNetwork, query_var: str, query_state: str, evidence: Mapping[str, str]) -> _Indexed:
+    """Check the query, then the evidence, then their overlap; return the
+    query's pair and then the evidence's, as :func:`_normalize_constraints`
+    maps them."""
 
-    [(_, (qstate,)), *_] = _normalize_constraints(network, [(query_var, query_state), *evidence.items()])
+    pairs = _normalize_constraints(network, [(query_var, query_state), *evidence.items()])
     _check_overlap(query_var, evidence)
-    return qstate
+    return pairs
 
 
 def _check_overlap(query_var: str, evidence_vars: Container[str]) -> None:
@@ -319,11 +296,11 @@ def _conditionals(constraints: Constraints, mass: float, parts: Iterable[float])
 def joint_probability(network: BayesianNetwork, assignment: Mapping[str, str]) -> float:
     """Chain-rule probability of a *full* assignment."""
 
-    _normalize_constraints(network, assignment.items())  # unknown names before missing ones
+    allowed = _normalize_constraints(network, assignment.items())  # unknown names before missing ones
     missing = sorted(set(network.variables) - set(assignment))
     if missing:
         raise UnknownVariable(f"assignment must cover every variable; missing: {', '.join(missing)}")
-    return constrained_sweep(network, assignment, ())[0]
+    return _sweep(compile_network(network), allowed, ())[0]
 
 
 def marginal(network: BayesianNetwork, assignment: Mapping[str, str]) -> float:
@@ -350,13 +327,13 @@ def conditional_query(
     :class:`QueryEvidenceOverlap` when the query variable is also evidence.
     """
 
-    _check_query(network, query_var, query_state, evidence)
-    sums = constrained_sweep(network, evidence, [(query_var, query_state)])
+    query, *allowed = _check_query(network, query_var, query_state, evidence)
+    sums = _sweep(compile_network(network), allowed, [query])
     return QueryResult(probability=_conditionals(evidence, *sums)[0], method="enumeration")
 
 
 def constrained_sweep(
-    network: BayesianNetwork | CompiledNetwork,
+    network: BayesianNetwork,
     constraints: Constraints,
     targets: Sequence[tuple[str, str]],
 ) -> tuple[float, list[float]]:
@@ -377,12 +354,19 @@ def constrained_sweep(
     :data:`MAX_JOINT_STATES` assignments.
     """
 
-    form = compile_network(network)
-    c = form.core
+    c = compile_network(network)
+    allowed = _normalize_constraints(network, constraints.items())
+    return _sweep(c, allowed, _normalize_constraints(network, targets))
+
+
+def _sweep(c: CompiledNetwork, allowed: _Indexed, targets: _Indexed) -> tuple[float, list[float]]:
+    """:func:`constrained_sweep` on constraints and targets that
+    :func:`_normalize_constraints` has checked and mapped to state indices."""
+
     allowed_idx: list[Sequence[int]] = [range(c.card[v]) for v in c.order]
-    for var, idx in _normalize_constraints(form.network, constraints.items()):
+    for var, idx in allowed:
         allowed_idx[c.pos[var]] = idx
-    target_idx = [(state, c.pos[v]) for v, (state,) in _normalize_constraints(form.network, targets)]
+    target_idx = [(state, c.pos[v]) for v, (state,) in targets]
     joint = math.prod(len(idx) for idx in allowed_idx)
     if joint > MAX_JOINT_STATES:
         raise EnumerationBoundExceeded(
@@ -501,7 +485,7 @@ def _sum_out(f: _Factor, var: str) -> _Factor:
 
 
 def masked_posterior(
-    network: BayesianNetwork | CompiledNetwork,
+    network: BayesianNetwork,
     variable: str,
     constraints: Constraints,
 ) -> np.ndarray:
@@ -516,10 +500,16 @@ def masked_posterior(
     product would hold more than :data:`MAX_FACTOR_ENTRIES` entries.
     """
 
-    form = compile_network(network)
-    allowed = _normalize_constraints(form.network, constraints.items())
-    form.network.states(variable)  # an unknown variable fails here
-    c = form.core
+    c = compile_network(network)
+    allowed = _normalize_constraints(network, constraints.items())
+    network.states(variable)  # an unknown variable fails here
+    return _masked(c, variable, allowed)
+
+
+def _masked(c: CompiledNetwork, variable: str, allowed: _Indexed) -> np.ndarray:
+    """:func:`masked_posterior` on a known variable and constraints that
+    :func:`_normalize_constraints` has checked and mapped to state indices."""
+
     card = c.card
     plan = c.plan(variable)
     if plan.largest > MAX_FACTOR_ENTRIES:
@@ -573,13 +563,13 @@ def masked_posterior(
 
 
 def posterior(
-    network: BayesianNetwork | CompiledNetwork,
+    network: BayesianNetwork,
     variable: str,
     constraints: Constraints = (),
 ) -> tuple[float, ...]:
     """Normalized posterior over ``variable`` given set-valued constraints.
 
-    The only normalization of :func:`masked_posterior`; raises
+    The vector of :func:`masked_posterior` divided by its sum; raises
     :class:`ZeroProbabilityEvidence` when the constraints have mass 0.
     """
 
@@ -588,7 +578,7 @@ def posterior(
 
 
 def eliminate(
-    network: BayesianNetwork | CompiledNetwork,
+    network: BayesianNetwork,
     query_var: str,
     query_state: str,
     evidence: Mapping[str, str],
@@ -599,8 +589,10 @@ def eliminate(
     """
 
     c = compile_network(network)
-    qstate = _check_query(c.network, query_var, query_state, evidence)
-    return QueryResult(probability=posterior(c, query_var, evidence)[qstate], method="elimination")
+    (_, (qstate,)), *allowed = _check_query(network, query_var, query_state, evidence)
+    values = _masked(c, query_var, allowed)
+    probability = _conditionals(evidence, float(values.sum()), values.tolist())[qstate]
+    return QueryResult(probability=probability, method="elimination")
 
 
 def _as_probability(value: float) -> float:

@@ -69,7 +69,7 @@ class BayesianNetwork:
     variables: dict[str, Variable] = field(default_factory=dict)
     cpts: dict[str, Cpt] = field(default_factory=dict)
     entity: str = "x"
-    # the engines' memo (inference._Core); it holds no reference to the network
+    # the engines' memo (inference.CompiledNetwork); it holds no reference to the network
     _compiled: object = field(default=None, init=False, repr=False, compare=False)
 
     def states(self, variable: str) -> tuple[str, ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -207,6 +208,7 @@ class TestInputErrors:
             ("evidence.0.variable", 7, "variable must be a string, got 7"),
             ("evidence.0.text", None, "text must be a string, got null"),
             ("question.state", None, "state must be a string, got null"),
+            ("premises.5.text", 5, "text must be a string, got 5"),
         ],
     )
     def test_dataset_field_types(self, capsys, tmp_path, gallstone_net, field, value, message):
@@ -567,6 +569,19 @@ class TestGenDataset:
                 assert text == serialize(plain_program(net, inst))
                 want.append(json.dumps(instance_to_dict(filter_premises(inst, kinds)), ensure_ascii=False))
         assert lines == want
+
+    def test_output_bytes_are_pinned(self, capsys, tmp_path):
+        # SHA-256 over "<file name> <SHA-256 of its bytes>" lines, in sorted
+        # name order, of every file gen-dataset writes: the dataset and the
+        # 50 programs. Any change to an output byte fails here.
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "gen-dataset", NET, "--count", "50", "--seed", "7", "--out", str(out))
+        assert code == 0
+        lines = "".join(f"{p.name} {hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in sorted(out.iterdir()))
+        assert len(lines.splitlines()) == 51
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "c52c65d5ed20bc016730e873ce130914fc141bcb816c134fa3695291713abfa4"
+        )
 
     def test_repeated_network_name_rejected(self, capsys, tmp_path, sprinkler_file):
         again = tmp_path / "again.json"

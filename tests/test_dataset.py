@@ -37,7 +37,7 @@ from bayesqa.errors import (
     UnsatisfiableEvidence,
     ZeroProbabilityEvidence,
 )
-from bayesqa.inference import CompiledNetwork, eliminate
+from bayesqa.inference import eliminate
 from bayesqa.model import parent_assignments, topological_order
 from bayesqa.problog import evaluate, serialize
 from bayesqa.wep import verbalize_distribution
@@ -223,15 +223,20 @@ class TestSampleQe:
             sample_qe(net, np.random.default_rng(7))
 
     def test_shared_form_matches_the_per_draw_path(self, monkeypatch):
-        """Every draw on one compiled form goes through the public
-        ``eliminate`` and gives the pair, and leaves the rng state, of the
-        path that reads the form kept on the network; the form is compiled
-        apart from that one."""
+        """Draws that share the compiled form kept on the network go through
+        the public ``eliminate`` and give the pair, and leave the rng state,
+        of draws that each compile afresh, on an uncompiled copy of the
+        network."""
 
-        draws = {"form": 0, "rejected": 0}
+        draws = {"shared": 0, "rejected": 0}
+        per_draw = False
 
         def counted(source, *args):
-            draws["form"] += source is form
+            if per_draw:
+                source = dataclasses.replace(source)
+                assert source._compiled is None
+            else:
+                draws["shared"] += source._compiled is not None
             try:
                 return eliminate(source, *args)
             except ZeroProbabilityEvidence:
@@ -241,21 +246,23 @@ class TestSampleQe:
         monkeypatch.setattr(dataset, "eliminate", counted)
         monkeypatch.setattr(dataset, "MAX_EVIDENCE_RETRIES", 20)
 
-        def outcome(source, rng):
+        def outcome(rng):
             try:
-                return sample_qe(source, rng)
+                return sample_qe(net, rng)
             except UnsatisfiableEvidence as err:
                 return str(err)
 
         rng = np.random.default_rng(8080)
         for i in range(500):
             net = netgen.with_zeros(rng, netgen.random_network(rng, name=f"qe{i}", max_vars=7))
-            form = CompiledNetwork(net)
             for j in range(2):
                 shared, fresh = np.random.default_rng([i, j]), np.random.default_rng([i, j])
-                assert outcome(form, shared) == outcome(net, fresh), net.name
+                per_draw = False
+                kept = outcome(shared)
+                per_draw = True
+                assert kept == outcome(fresh), net.name
                 assert shared.bit_generator.state == fresh.bit_generator.state, net.name
-        assert draws["form"] > 0 and draws["rejected"] > 0  # retries were exercised
+        assert draws["shared"] > 0 and draws["rejected"] > 0  # retries were exercised
 
 
 class TestClassifyReasoning:

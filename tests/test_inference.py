@@ -131,14 +131,6 @@ class TestEnumeration:
             abs=1e-15,
         )
 
-    def test_constrained_sweep_takes_a_compiled_form(self, gallstone_net):
-        form = compile_network(gallstone_net)
-        args = ({"flatulence": {"true"}}, [("amylase", "500-1400")])
-        assert constrained_sweep(form, *args) == constrained_sweep(gallstone_net, *args)
-        # the form reads as its network does
-        assert form.variables is gallstone_net.variables
-        assert form.states("amylase") == gallstone_net.states("amylase")
-
     def test_constrained_sweep_set_constraint(self, gallstone_net):
         total, _ = constrained_sweep(
             gallstone_net, {"amylase": {"0-299", "300-499"}}, []
@@ -269,12 +261,11 @@ class TestEliminationMemory:
         # done; copies of small operands may not push a peak past those
         sorted_axis_peaks = (1.67, 1.79, 1.67, 1.67, 2.45)
         for net, bound in zip(_cliff_networks(), sorted_axis_peaks, strict=True):
-            form = compile_network(net)
             query, evidence = "v75", {"v0": "s1", "v40": "s2"}
-            masked_posterior(form, query, evidence)  # builds the factors and the moral graph
+            masked_posterior(net, query, evidence)  # builds the factors, the moral graph and the plan
             tracemalloc.start()
             try:
-                masked_posterior(form, query, evidence)
+                masked_posterior(net, query, evidence)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -285,10 +276,10 @@ class TestLayouts:
     def test_factors_are_views_of_the_tables(self, gallstone_net):
         rng = np.random.default_rng(31)
         for net in (gallstone_net, _chain(), *(netgen.random_network(rng, name=f"view{i}") for i in range(20))):
-            core = compile_network(net).core
-            for v, f in zip(net.variables, core.factors(), strict=True):
+            compiled = compile_network(net)
+            for v, f in zip(net.variables, compiled.factors(), strict=True):
                 assert f.vars == net.cpts[v].parents + (v,)
-                assert np.shares_memory(f.values, core.tables[core.pos[v]])
+                assert np.shares_memory(f.values, compiled.tables[compiled.pos[v]])
 
     @pytest.mark.parametrize("share", [1, 10**9], ids=["copied", "strided"])
     def test_extra_variables_go_in_front(self, monkeypatch, share):
@@ -310,11 +301,11 @@ class TestLayouts:
         # the result is clipped in place, so it may not be a compiled table
         rng = np.random.default_rng(5)
         for net in (gallstone_net, _chain(), *(netgen.random_network(rng, name=f"own{i}") for i in range(20))):
-            form = compile_network(net)
+            compiled = compile_network(net)
             for v in net.variables:
-                values = masked_posterior(form, v, {})
+                values = masked_posterior(net, v, {})
                 assert values.flags.writeable
-                assert not any(np.shares_memory(values, t) for t in form.core.tables)
+                assert not any(np.shares_memory(values, t) for t in compiled.tables)
 
     def test_cliff_answers_keep_their_bits(self):
         # float.hex of each cliff network's answer, whose 3**13-entry
@@ -671,8 +662,9 @@ class TestPinnedBits:
 
 class TestCompiledForm:
     """The compiled form kept on a network, and the plans it keeps, give
-    exactly what a compile that bypasses them gives (``CompiledNetwork(net)``,
-    made per call), zero-mass reports included."""
+    exactly what a compile that bypasses them gives: the same call on an
+    uncompiled copy of the network (``replace(net)``, made per call, which
+    shares the network's dicts), zero-mass reports included."""
 
     @staticmethod
     def _outcome(call):
@@ -687,30 +679,31 @@ class TestCompiledForm:
         for i in range(500):
             net = netgen.with_zeros(rng, netgen.random_network(rng, name=f"form{i}", max_vars=7))
             form = compile_network(net)
-            assert compile_network(form) is form
             for _ in range(3):
                 qv, qs, ev = netgen.random_point_query(rng, net)
-                shared = self._outcome(lambda: eliminate(form, qv, qs, ev).probability.hex())
-                fresh = self._outcome(lambda: eliminate(CompiledNetwork(net), qv, qs, ev).probability.hex())
+                shared = self._outcome(lambda: eliminate(net, qv, qs, ev).probability.hex())
+                fresh = self._outcome(lambda: eliminate(replace(net), qv, qs, ev).probability.hex())
                 assert shared == fresh, net.name
                 zero_mass += shared.startswith("ZeroProbabilityEvidence")
-                assert self._outcome(lambda: posterior(form, qv, ev)) == self._outcome(
-                    lambda: posterior(CompiledNetwork(net), qv, ev)
+                assert self._outcome(lambda: posterior(net, qv, ev)) == self._outcome(
+                    lambda: posterior(replace(net), qv, ev)
                 )
-                assert np.array_equal(masked_posterior(form, qv, ev), masked_posterior(CompiledNetwork(net), qv, ev))
+                assert np.array_equal(masked_posterior(net, qv, ev), masked_posterior(replace(net), qv, ev))
+            assert compile_network(net) is form, net.name
         assert zero_mass > 0  # the raising path was exercised too
 
     def test_elimination_leaves_the_form_unchanged(self, gallstone_net):
         form = compile_network(gallstone_net)
-        first = eliminate(form, "amylase", "500-1400", {"flatulence": "true"})
+        first = eliminate(gallstone_net, "amylase", "500-1400", {"flatulence": "true"})
         for v in gallstone_net.variables:
-            posterior(form, v, {})
-            posterior(form, v, {"gallstones": {"true"}})
-        fresh = CompiledNetwork(gallstone_net).core
-        assert form.core.moral() == fresh.moral()
-        for a, b in zip(form.core.factors(), fresh.factors(), strict=True):
+            posterior(gallstone_net, v, {})
+            posterior(gallstone_net, v, {"gallstones": {"true"}})
+        assert compile_network(gallstone_net) is form
+        fresh = CompiledNetwork(gallstone_net)
+        assert form.moral() == fresh.moral()
+        for a, b in zip(form.factors(), fresh.factors(), strict=True):
             assert a.vars == b.vars and np.array_equal(a.values, b.values)
-        assert eliminate(form, "amylase", "500-1400", {"flatulence": "true"}) == first
+        assert eliminate(gallstone_net, "amylase", "500-1400", {"flatulence": "true"}) == first
 
     def test_calls_share_one_compiled_core(self):
         net = _chain()
@@ -720,7 +713,7 @@ class TestCompiledForm:
         eliminate(net, "a", "f", {"b": "f"})
         posterior(net, "a", {"c": {"t", "f"}})
         constrained_sweep(net, {"c": "t"}, [("a", "t")])
-        assert compile_network(net).core is core and net._compiled is core
+        assert compile_network(net) is core and net._compiled is core
         assert core.plan("a") is plan and list(core._plans) == ["a"]  # one plan per query variable
 
     @staticmethod
@@ -749,15 +742,15 @@ class TestCompiledForm:
                 qv, _, ev = netgen.random_point_query(rng, net)
                 cons = {v: {s} if rng.random() < 0.5 else set(net.states(v)) for v, s in ev.items()}
                 got = masked_posterior(net, qv, cons)
-                want = masked_posterior(CompiledNetwork(net), qv, cons)
+                want = masked_posterior(replace(net), qv, cons)
                 assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist())), (net.name, kind)
                 assert constrained_sweep(net, cons, [(qv, net.states(qv)[0])]) == constrained_sweep(
-                    CompiledNetwork(net), cons, [(qv, net.states(qv)[0])]
+                    replace(net), cons, [(qv, net.states(qv)[0])]
                 )
                 if kind < 4:
                     core = net._compiled
                     self._edit(rng, net, kind)
-                    assert compile_network(net).core is not core, (net.name, kind)
+                    assert compile_network(net) is not core, (net.name, kind)
 
     def test_cached_plans_match_fresh_forms(self):
         rng = np.random.default_rng(7373)
@@ -778,7 +771,7 @@ class TestCompiledForm:
             for k in rng.permutation(len(queries)):
                 v, cons = queries[k]
                 got = masked_posterior(net, v, cons).tolist()
-                want = masked_posterior(CompiledNetwork(net), v, cons).tolist()
+                want = masked_posterior(replace(net), v, cons).tolist()
                 assert list(map(float.hex, got)) == list(map(float.hex, want)), net.name
                 asked += 1
         assert asked > 3000
@@ -808,8 +801,8 @@ class TestCompiledForm:
         def refuse(*_):
             raise AssertionError("enumeration built elimination factors")
 
-        monkeypatch.setattr(inference._Core, "factors", refuse)
-        monkeypatch.setattr(inference._Core, "moral", refuse)
-        monkeypatch.setattr(inference._Core, "plan", refuse)
+        monkeypatch.setattr(inference.CompiledNetwork, "factors", refuse)
+        monkeypatch.setattr(inference.CompiledNetwork, "moral", refuse)
+        monkeypatch.setattr(inference.CompiledNetwork, "plan", refuse)
         assert conditional_query(gallstone_net, "amylase", "500-1400", {"flatulence": "true"}).probability > 0
         assert marginal(gallstone_net, {"flatulence": "true"}) > 0
