@@ -24,7 +24,9 @@ query variable (:func:`~bayesqa.inference.compile_network`), the program encodin
 (:class:`NetworkEncoder`: ``bn_to_problog`` clauses, their canonical text
 and the predicates a negated-query indicator must avoid), and, in
 :func:`save_dataset`, the JSON text of the premise block. Per instance, only
-the evidence, the query and the record fields are encoded.
+the evidence, the query and the record fields are encoded. The read side
+matches: :func:`load_dataset` decodes and checks each premise block once,
+and the instances that carry it share one premises tuple, as when generated.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -464,21 +466,29 @@ def instance_to_dict(instance: DatasetInstance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> DatasetInstance:
+    return _instance_from_dict(doc, _premises_from_list)
+
+
+def _instance_from_dict(doc: dict, premises: Callable[[list], tuple[Premise, ...]]) -> DatasetInstance:
     reasoning_types = record_field(doc, "reasoning_types", "a list of strings", list)
     if not all(type(t) is str for t in reasoning_types):
         raise TypeError(f"reasoning_types must be a list of strings, got {json.dumps(reasoning_types)}")
     return DatasetInstance(
         id=record_field(doc, "id", "a string", str),
         network=record_field(doc, "network", "a string", str),
-        premises=tuple(_premise_from_dict(p) for p in doc["premises"]),
-        evidence=tuple(_binding_from_dict(e) for e in doc["evidence"]),
-        question=_binding_from_dict(doc["question"]),
+        premises=premises(record_field(doc, "premises", "a list", list)),
+        evidence=tuple(_binding_from_dict(e) for e in record_field(doc, "evidence", "a list", list)),
+        question=_binding_from_dict(record_field(doc, "question", "an object", dict)),
         gold=float(record_field(doc, "gold", "a number", int, float)),
         reasoning_types=tuple(reasoning_types),
         primary_type=record_field(doc, "primary_type", "a string", str),
         seed=record_field(doc, "seed", "an integer", int),
         index=record_field(doc, "index", "an integer", int),
     )
+
+
+def _premises_from_list(docs: list) -> tuple[Premise, ...]:
+    return tuple(_premise_from_dict(p) for p in docs)
 
 
 def _premise_from_dict(doc: dict) -> Premise:
@@ -529,7 +539,30 @@ def save_dataset(instances: Sequence[DatasetInstance], path: str | Path) -> None
 
 
 def load_dataset(path: str | Path) -> list[DatasetInstance]:
-    return read_records(path, instance_from_dict, "dataset")
+    """Read a JSON Lines dataset, each record through
+    :func:`instance_from_dict`'s checks; a refusal names the line.
+
+    In a file that :func:`save_dataset` wrote, each distinct premise block
+    is decoded and checked once, and the instances that carry it share one
+    premises tuple, as when generated. A record reuses the previous
+    record's tuple when its block equals that record's and every
+    ``clause_ref`` in it is exactly an integer: ``==`` alone would take a
+    JSON ``true`` or ``1.0`` for ``1``, which the checks refuse. The
+    records of one network are written together; a block that comes back
+    after another is decoded again, to an equal tuple.
+    """
+
+    last_raw: list = []
+    last: tuple[Premise, ...] = ()
+
+    def premises(raw: list) -> tuple[Premise, ...]:
+        nonlocal last_raw, last
+        if raw != last_raw or not all(type(p["clause_ref"]) is int for p in raw):
+            last = _premises_from_list(raw)
+            last_raw = raw
+        return last
+
+    return read_records(path, lambda doc: _instance_from_dict(doc, premises), "dataset")
 
 
 def filter_premises(instance: DatasetInstance, kinds: Iterable[str]) -> DatasetInstance:

@@ -209,6 +209,16 @@ class TestInputErrors:
             ("evidence.0.text", None, "text must be a string, got null"),
             ("question.state", None, "state must be a string, got null"),
             ("premises.5.text", 5, "text must be a string, got 5"),
+            # the first record's premise 1 has clause_ref 1, which == takes for these
+            ("premises.1.clause_ref", True, "clause_ref must be an integer, got true"),
+            ("premises.1.clause_ref", 1.0, "clause_ref must be an integer, got 1.0"),
+            ("premises", {}, "premises must be a list, got {}"),
+            ("premises", "", 'premises must be a list, got ""'),
+            ("premises", {"a": 1}, 'premises must be a list, got {"a": 1}'),
+            ("evidence", {}, "evidence must be a list, got {}"),
+            ("evidence", "", 'evidence must be a list, got ""'),
+            ("evidence", None, "evidence must be a list, got null"),
+            ("question", [], "question must be an object, got []"),
         ],
     )
     def test_dataset_field_types(self, capsys, tmp_path, gallstone_net, field, value, message):

@@ -384,17 +384,44 @@ class TestDatasetFiles:
         assert a.read_bytes() == b.read_bytes()
         assert load_dataset(a) == insts
 
-    def test_lines_equal_json_dumps_of_each_record(self, gallstone_net, sprinkler_net, tmp_path):
+    @staticmethod
+    def two_networks(gallstone_net, sprinkler_net) -> list:
         # a name that reads like the premises key must not move the splice
         named = dataclasses.replace(gallstone_net, name='say "premises": [] here')
         insts = generate_dataset(named, 3, seed=19)
         insts += generate_dataset(sprinkler_net, 3, seed=19, stream=1)
         insts.append(filter_premises(insts[0], ["wep"]))
         insts.append(filter_premises(insts[1], ["prose"]))
+        return insts
+
+    def test_lines_equal_json_dumps_of_each_record(self, gallstone_net, sprinkler_net, tmp_path):
+        insts = self.two_networks(gallstone_net, sprinkler_net)
         path = tmp_path / "d.jsonl"
         save_dataset(insts, path)
         want = [json.dumps(instance_to_dict(inst), ensure_ascii=False) for inst in insts]
         assert path.read_text(encoding="utf-8").splitlines() == want
+
+    def test_saving_a_loaded_dataset_gives_its_bytes(self, gallstone_net, sprinkler_net, tmp_path):
+        p, q = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+        save_dataset(self.two_networks(gallstone_net, sprinkler_net), p)
+        save_dataset(load_dataset(p), q)
+        assert q.read_bytes() == p.read_bytes()
+
+    def test_instances_of_a_network_share_one_premises_tuple(self, gallstone_net, sprinkler_net, tmp_path):
+        insts = self.two_networks(gallstone_net, sprinkler_net)
+        # a block that comes back after another must load equal too
+        insts.append(insts[0])
+        path = tmp_path / "d.jsonl"
+        save_dataset(insts, path)
+        loaded = load_dataset(path)
+        assert loaded == insts
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert loaded == [instance_from_dict(json.loads(line)) for line in lines]
+        gallstone, sprinkler, wep, prose = (loaded[i].premises for i in (0, 3, 6, 7))
+        assert all(inst.premises is gallstone for inst in loaded[:3])
+        assert all(inst.premises is sprinkler for inst in loaded[3:6])
+        assert len({id(gallstone), id(sprinkler), id(wep), id(prose)}) == 4
+        assert (len(wep), len(prose)) == (len(gallstone) // 2, 0)
 
     def test_round_trip_with_unicode_line_separators_in_names(self, tmp_path):
         # json.dumps(..., ensure_ascii=False) writes these characters raw
