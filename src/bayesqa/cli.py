@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("baseline", "score the constant-0.5 baseline")
     p.add_argument("dataset")
-    p.add_argument("--value", type=float, default=0.5)
+    p.add_argument("--value", type=_probability, default=0.5)
     p.add_argument("-o", "--out", default=None, help="also write the predictions here")
     p.add_argument("--buckets", type=_bucket_edges, default=None)
 

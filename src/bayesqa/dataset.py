@@ -473,13 +473,16 @@ def _instance_from_dict(doc: dict, premises: Callable[[list], tuple[Premise, ...
     reasoning_types = record_field(doc, "reasoning_types", "a list of strings", list)
     if not all(type(t) is str for t in reasoning_types):
         raise TypeError(f"reasoning_types must be a list of strings, got {json.dumps(reasoning_types)}")
+    gold = record_field(doc, "gold", "a number", int, float)
+    if not 0.0 <= gold <= 1.0:  # nan is refused too
+        raise ValueError(f"gold must be a probability in [0, 1], got {json.dumps(gold)}")
     return DatasetInstance(
         id=record_field(doc, "id", "a string", str),
         network=record_field(doc, "network", "a string", str),
         premises=premises(record_field(doc, "premises", "a list", list)),
         evidence=tuple(_binding_from_dict(e) for e in record_field(doc, "evidence", "a list", list)),
         question=_binding_from_dict(record_field(doc, "question", "an object", dict)),
-        gold=float(record_field(doc, "gold", "a number", int, float)),
+        gold=float(gold),
         reasoning_types=tuple(reasoning_types),
         primary_type=record_field(doc, "primary_type", "a string", str),
         seed=record_field(doc, "seed", "an integer", int),
@@ -493,6 +496,8 @@ def _premises_from_list(docs: list) -> tuple[Premise, ...]:
 
 def _premise_from_dict(doc: dict) -> Premise:
     # one test per field; record_field and the raises only word the refusal
+    if type(doc) is not dict:
+        raise TypeError(f"a premise must be an object, got {json.dumps(doc)}")
     kind, text, variable = doc["kind"], doc["text"], doc["variable"]
     clause_ref, given = doc["clause_ref"], doc["given"]
     if kind not in ("numeric", "wep"):
@@ -513,6 +518,8 @@ def _premise_from_dict(doc: dict) -> Premise:
 
 
 def _binding_from_dict(doc: dict) -> Binding:
+    if type(doc) is not dict:  # an evidence element; the question is checked as a field
+        raise TypeError(f"an evidence binding must be an object, got {json.dumps(doc)}")
     return Binding(*(record_field(doc, key, "a string", str) for key in ("variable", "state", "text")))
 
 

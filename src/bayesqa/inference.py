@@ -4,11 +4,11 @@ Two independent engines answer the same questions:
 
 * enumeration — the constrained joint as one numpy array, one axis per
   variable the constraints leave a choice, filled by the chain-rule product
-  in topological order and summed with ``cumsum``, which adds in the order of
-  a walk over the completions, so each answer has the bits of that walk.
-  Simple enough to audit by hand; exponential in the number of free
-  variables, so it doubles as the oracle for everything else. The one sweep
-  is :func:`constrained_sweep`; :func:`joint_probability`, :func:`marginal`
+  in topological order and summed pairwise by numpy, so each answer is
+  within 4 ULPs of the exact answer on the tests' random networks. Simple
+  enough to audit by hand; exponential in the number of free variables, so
+  it doubles as the oracle for everything else. The one sweep is
+  :func:`constrained_sweep`; :func:`joint_probability`, :func:`marginal`
   and :func:`conditional_query` are thin wrappers over it. Its array holds at
   most :data:`MAX_JOINT_STATES` entries; larger spaces are refused up front.
 * variable elimination — numpy factor tables, min-degree elimination order
@@ -322,7 +322,7 @@ def conditional_query(
     """P(query_var = query_state | evidence) by enumeration.
 
     Numerator and denominator come from one sweep over the completions of the
-    evidence, so their comparison is exact term-by-term. Raises
+    evidence (:func:`constrained_sweep`), within 4 ULPs of exact. Raises
     :class:`ZeroProbabilityEvidence` when the evidence has mass 0 and
     :class:`QueryEvidenceOverlap` when the query variable is also evidence.
     """
@@ -345,13 +345,15 @@ def constrained_sweep(
     The constrained joint is one array with an axis per variable left more
     than one state, in topological order, and each entry is the chain-rule
     product taken in that order, multiplied into the array in place so that
-    it is the one full-size array the sweep holds. The entries are added one
-    after another in C order, which is the order of a walk over the worlds
-    with the earliest variable varying slowest, and each target sums its slice
-    the same way, so target/total ratios are exact conditional probabilities
-    with the bits of that walk. Raises :class:`EnumerationBoundExceeded`,
-    before the array is allocated, when the constraints leave more than
-    :data:`MAX_JOINT_STATES` assignments.
+    it is the one full-size array the sweep holds. The array, and each
+    target's slice of it, is summed by numpy's pairwise sum, from +0.0 (so a
+    sum of signed zeros is +0.0) and without a copy. Each mass, and each
+    target/total ratio, is within 4 ULPs of the exact value on the tests'
+    random networks (``tests/exact.py``), and the 177,147-world chain
+    ``v0 -> ... -> v12`` of the tests reads the correctly rounded 0.2.
+    Raises :class:`EnumerationBoundExceeded`, before the array is allocated,
+    when the constraints leave more than :data:`MAX_JOINT_STATES`
+    assignments.
     """
 
     c = compile_network(network)
@@ -390,33 +392,17 @@ def _sweep(c: CompiledNetwork, allowed: _Indexed, targets: _Indexed) -> tuple[fl
         row = sum(grid[q] * stride for q, stride in zip(c.parent_pos[i], c.strides[i]))
         p *= table[row, grid[i]]
 
-    total = _sequential_sum(p)
+    total = float(np.add.reduce(p, axis=None, initial=0.0))
     nums = []
     for state, pos in target_idx:
         if state not in allowed_idx[pos]:
             nums.append(0.0)
         elif pos in axis:
-            nums.append(_sequential_sum(p[(slice(None),) * axis[pos] + (allowed_idx[pos].index(state),)]))
+            part = p[(slice(None),) * axis[pos] + (allowed_idx[pos].index(state),)]
+            nums.append(float(np.add.reduce(part, axis=None, initial=0.0)))
         else:
             nums.append(total)
     return total, nums
-
-
-_SUM_CHUNK = 1 << 14  # entries summed per step of a large sum
-
-
-def _sequential_sum(values: np.ndarray | np.float64) -> float:
-    """The entries of ``values`` added one at a time in C order, from +0.0,
-    so a sum of signed zeros is +0.0; ``np.sum`` adds pairwise and would
-    round differently. A large array (or slice of one) is added in chunks,
-    each started from the sum so far, so no full-size copy is made."""
-
-    if values.size <= _SUM_CHUNK:
-        return float(values.cumsum()[-1]) + 0.0
-    total = 0.0
-    for chunk in np.nditer(values, flags=["external_loop", "buffered"], order="C", buffersize=_SUM_CHUNK):
-        total = float(np.concatenate(((total,), chunk)).cumsum()[-1])
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,8 @@ def read_json(path: str | Path) -> object:
 
 
 def read_records(path: str | Path, decode: Callable[[dict], object], what: str) -> list:
-    """Decode a JSON Lines file, one object per nonblank line, each through ``decode``."""
+    """Decode a JSON Lines file, one object per nonblank line, each through
+    ``decode``; a KeyError from ``decode`` is refused as a missing field."""
 
     out = []
     # "\n" only: text written with ensure_ascii=False keeps U+2028 and U+0085 raw
@@ -454,7 +455,8 @@ def read_records(path: str | Path, decode: Callable[[dict], object], what: str) 
                 raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
             out.append(decode(doc))
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
-            raise NetworkFormatError(f"{path}:{i + 1}: bad {what} record ({exc})") from None
+            why = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+            raise NetworkFormatError(f"{path}:{i + 1}: bad {what} record ({why})") from None
     return out
 
 

@@ -32,6 +32,7 @@ from conftest import GALLSTONE_TEXT, WIDE_PROGRAM_TEXT, three_state_chain
 
 DATA = Path(__file__).parent / "data"
 NET = str(DATA / "gallstones.json")
+MISSING = object()  # a field value that deletes the field
 
 
 @pytest.fixture()
@@ -219,16 +220,31 @@ class TestInputErrors:
             ("evidence", "", 'evidence must be a list, got ""'),
             ("evidence", None, "evidence must be a list, got null"),
             ("question", [], "question must be an object, got []"),
+            ("premises.3", "a", 'a premise must be an object, got "a"'),
+            ("premises.0", [], "a premise must be an object, got []"),
+            ("evidence.0", 1, "an evidence binding must be an object, got 1"),
+            ("evidence.0", "flatulence", 'an evidence binding must be an object, got "flatulence"'),
+            ("premises.4.given", MISSING, "missing field 'given'"),
+            ("evidence.0.state", MISSING, "missing field 'state'"),
+            ("gold", MISSING, "missing field 'gold'"),
+            ("gold", 2.0, "gold must be a probability in [0, 1], got 2.0"),
+            ("gold", -1, "gold must be a probability in [0, 1], got -1"),
+            ("gold", float("nan"), "gold must be a probability in [0, 1], got NaN"),
+            ("gold", float("inf"), "gold must be a probability in [0, 1], got Infinity"),
         ],
     )
     def test_dataset_field_types(self, capsys, tmp_path, gallstone_net, field, value, message):
-        # field is a dotted path into the second record; a number steps into a list
+        # field is a dotted path into the second record; a number steps into
+        # a list, and MISSING deletes the field
         records = [instance_to_dict(i) for i in generate_dataset(gallstone_net, 2, seed=3)]
-        *steps, last = field.split(".")
+        *steps, last = (int(step) if step.isdigit() else step for step in field.split("."))
         target = records[1]
         for step in steps:
-            target = target[int(step) if step.isdigit() else step]
-        target[last] = value
+            target = target[step]
+        if value is MISSING:
+            del target[last]
+        else:
+            target[last] = value
         bad = tmp_path / "dataset.jsonl"
         bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
         code, out, err = run(capsys, "baseline", str(bad))
@@ -240,6 +256,7 @@ class TestInputErrors:
         [
             ('{"id": 5, "value": 0.5}', "id must be a string, got 5"),
             ('{"id": "gallstone-0000", "error": 5}', "error must be a string or null, got 5"),
+            ('{"value": 0.5}', "missing field 'id'"),
         ],
     )
     def test_prediction_field_types(self, capsys, tmp_path, gallstone_net, record, message):
@@ -834,6 +851,8 @@ class TestNumericFlags:
             (["gen-dataset", NET, "--count", "1", "--second-closest", "-0.1", "--out", "{out}"], "--second-closest"),
             (["wep", "--prob", "nan"], "--prob"),
             (["wep", "--prob", "0.5", "--second-closest", "2"], "--second-closest"),
+            (["baseline", "{out}", "--value", "1.5"], "--value"),
+            (["baseline", "{out}", "--value", "nan"], "--value"),
         ],
     )
     def test_out_of_range_is_usage_error(self, capsys, tmp_path, argv, flag):

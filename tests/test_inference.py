@@ -10,11 +10,13 @@ import re
 import tracemalloc
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exact
 import netgen
 from bayesqa import inference
 from bayesqa.errors import (
@@ -38,6 +40,7 @@ from bayesqa.inference import (
     posterior,
 )
 from bayesqa.model import Cpt, Variable, children, make_network, topological_order
+from bayesqa.problog import evaluate
 from bayesqa.problog.convert import compile_program
 from conftest import three_state_chain
 
@@ -160,7 +163,8 @@ class TestSweepBound:
 
     def test_holds_one_full_size_array(self):
         # 2**20 free states take 8 MiB; the product is formed in place and
-        # summed in chunks, so nothing else of that size is allocated
+        # summed, and its target slice too, by a reduce that makes no copy,
+        # so nothing else of that size is allocated
         tables = {"b0": (("t", "f"), (), {(): (0.3, 0.7)})}
         for i in range(1, 21):
             tables[f"b{i}"] = (("t", "f"), (f"b{i - 1}",), {("t",): (0.9, 0.1), ("f",): (0.2, 0.8)})
@@ -405,9 +409,10 @@ def test_wide_chain_with_few_free_variables():
     # variables than a numpy array has axes
     ev = {f"v{i}": "s1" for i in range(67)}
     net = three_state_chain(70)
-    by_sweep = conditional_query(net, "v69", "s0", ev).probability
-    by_elim = eliminate(net, "v69", "s0", ev).probability
-    assert by_sweep == by_elim == float.fromhex("0x1.999999999999bp-3")
+    want = exact.conditional(net, "v69", "s0", ev)
+    assert float(want).hex() == "0x1.999999999999ap-3"
+    for engine in (conditional_query, eliminate):
+        assert exact.ulps(engine(net, "v69", "s0", ev).probability, want) <= 1
 
 
 @pytest.mark.parametrize(
@@ -454,21 +459,119 @@ class TestEngineAgreement:
                 assert abs(p - conditional_query(net, qv, s, ev).probability) < 1e-12
 
 
-class TestPinnedBits:
-    """Every entry point returns exactly the float of a plain reference.
+class TestExactOracle:
+    """Both engines, on every entry point, within :data:`exact.BOUND` ULPs of
+    the exact answers of :mod:`exact`, with and without zero CPT entries."""
 
-    The enumeration references sum the chain-rule product over the
-    completions of the fixed variables, in topological order with the earliest
-    variable varying slowest. The elimination reference rebuilds each factor
-    entry by entry and eliminates in the engine's order, and ``eliminate``
-    must equal that vector's entry over its sum. Any change in summation,
-    product or division order shows up as a mismatch in the last bit.
+    @staticmethod
+    def _set_valued(rng, net, evidence):
+        """``evidence`` with some bindings widened to a set of states."""
+
+        return {
+            v: s if rng.random() < 0.5 else {t for t in net.states(v) if t == s or rng.random() < 0.5}
+            for v, s in evidence.items()
+        }
+
+    def test_oracle_matches_a_walk_over_the_worlds(self):
+        # the oracle's order of sums against the plain sum of every world's
+        # chain-rule product, both in exact arithmetic
+        rng = np.random.default_rng(606)
+        for i in range(60):
+            net = netgen.with_zeros(rng, netgen.random_network(rng, name=f"walk{i}", max_vars=5))
+            _, _, ev = netgen.random_point_query(rng, net)
+            constraints = self._set_valued(rng, net, ev)
+            order = topological_order(net)
+            total = Fraction(0)
+            for combo in itertools.product(*(net.states(v) for v in order)):
+                world = dict(zip(order, combo))
+                if any(world[v] != a if isinstance(a, str) else world[v] not in a for v, a in constraints.items()):
+                    continue
+                p = Fraction(1)
+                for v in order:
+                    row = net.cpts[v].rows[tuple(world[u] for u in net.cpts[v].parents)]
+                    p *= Fraction(row[net.states(v).index(world[v])])
+                total += p
+            assert exact.mass(net, constraints) == total, net.name
+
+    def test_conditional_queries(self):
+        # 600 queries: every other network has zeros, and every other pair
+        # has set-valued evidence, answered by constrained_sweep and
+        # posterior as problog.evaluate answers it
+        rng = np.random.default_rng(31337)
+        answered = 0
+        for i in range(600):
+            net = netgen.random_network(rng, name=f"exact{i}", max_vars=9)
+            if i % 2:
+                net = netgen.with_zeros(rng, net)
+            qv, qs, ev = netgen.random_point_query(rng, net)
+            if i % 4 >= 2:
+                ev = self._set_valued(rng, net, ev)
+            want = exact.conditional(net, qv, qs, ev)
+            if want is None:
+                with pytest.raises(ZeroProbabilityEvidence):
+                    conditional_query(net, qv, qs, ev)
+                with pytest.raises(ZeroProbabilityEvidence):
+                    eliminate(net, qv, qs, ev)
+                continue
+            answered += 1
+            if all(isinstance(a, str) for a in ev.values()):
+                got = [conditional_query(net, qv, qs, ev).probability, eliminate(net, qv, qs, ev).probability]
+            else:
+                total, (num,) = constrained_sweep(net, ev, [(qv, qs)])
+                got = [num / total, posterior(net, qv, ev)[net.states(qv).index(qs)]]
+            assert max(exact.ulps(p, want) for p in got) <= exact.BOUND, net.name
+        assert answered > 500
+
+    def test_posterior_under_set_constraints(self):
+        # set-valued evidence, and a constraint on the query variable itself
+        rng = np.random.default_rng(2525)
+        for i in range(240):
+            net = netgen.random_network(rng, name=f"post{i}", max_vars=9)
+            if i % 2:
+                net = netgen.with_zeros(rng, net)
+            qv, _, ev = netgen.random_point_query(rng, net)
+            constraints = {v: {t for t in net.states(v) if t == s or rng.random() < 0.5} for v, s in ev.items()}
+            constraints[qv] = {t for t in net.states(qv) if rng.random() < 0.7}
+            want = exact.masked(net, qv, constraints)
+            got = masked_posterior(net, qv, constraints)
+            assert max(map(exact.ulps, got.tolist(), want)) <= exact.BOUND, net.name
+            if sum(want) == 0:
+                with pytest.raises(ZeroProbabilityEvidence):
+                    posterior(net, qv, constraints)
+                continue
+            dist = posterior(net, qv, constraints)
+            assert max(exact.ulps(p, w / sum(want)) for p, w in zip(dist, want)) <= exact.BOUND, net.name
+
+    @pytest.mark.parametrize("method", ["enumeration", "elimination"])
+    def test_programs(self, method):
+        # each state of the query variable, through the program encoding
+        rng = np.random.default_rng(3030)
+        for i in range(240):
+            net = netgen.random_network(rng, name=f"prog{i}", max_vars=7)
+            qv, _, ev = netgen.random_point_query(rng, net)
+            program, atoms = netgen.query_program(net, ev, qv)
+            got = evaluate(program, method=method)
+            for s, atom in atoms.items():
+                assert exact.ulps(got[atom], exact.conditional(net, qv, s, ev)) <= exact.BOUND, net.name
+
+
+class TestPinnedBits:
+    """Each entry point against a plain reference.
+
+    ``joint_probability`` is the chain-rule product in topological order, bit
+    for bit. The elimination reference rebuilds each factor entry by entry
+    and eliminates in the engine's order, and ``eliminate`` must equal that
+    vector's entry over its sum, so any change in its summation, product or
+    division order shows up in the last bit. The enumeration sweep sums
+    pairwise, in no world order a plain walk could follow, so its masses
+    and answers are held within :data:`exact.BOUND` ULPs of the exact answer
+    of :mod:`exact`.
     """
 
     @staticmethod
     def _sums(net, constraints, targets=()):
-        """The sweep written out as a walk: the total and each target's mass,
-        one world at a time, states in declaration order."""
+        """A walk over the completions of ``constraints``: the total and each
+        target's mass, one world at a time, states in declaration order."""
 
         order = topological_order(net)
         allowed = []
@@ -496,9 +599,9 @@ class TestPinnedBits:
         for i in range(200):
             net = netgen.random_network(rng, name=f"bits{i}", max_vars=6)
             qv, qs, ev = netgen.random_point_query(rng, net)
-            den, (num,) = self._sums(net, ev, [(qv, qs)])
-            assert conditional_query(net, qv, qs, ev).probability == num / den, net.name
-            assert marginal(net, ev) == den, net.name
+            want = exact.conditional(net, qv, qs, ev)
+            assert exact.ulps(conditional_query(net, qv, qs, ev).probability, want) <= exact.BOUND, net.name
+            assert exact.ulps(marginal(net, ev), exact.mass(net, ev)) <= exact.BOUND, net.name
 
             full = {v: net.states(v)[int(rng.integers(len(net.states(v))))] for v in net.variables}
             assert joint_probability(net, full) == self._sums(net, full)[0], net.name
@@ -508,7 +611,7 @@ class TestPinnedBits:
             got = eliminate(net, qv, qs, ev).probability
             assert type(got) is float and got == want, net.name
 
-    def test_sweep_against_the_walk(self):
+    def test_sweep_against_exact(self):
         rng = np.random.default_rng(1717)
         for i in range(1000):
             net = netgen.random_network(rng, name=f"sweep{i}", max_vars=7)
@@ -526,25 +629,10 @@ class TestPinnedBits:
                 (v, net.states(v)[int(rng.integers(len(net.states(v))))])
                 for v in (ids[int(k)] for k in rng.integers(len(ids), size=1 + int(rng.integers(4))))
             ]
-            den, nums = self._sums(net, constraints, targets)
+            den, nums = exact.sweep(net, constraints, targets)
             total, parts = constrained_sweep(net, constraints, targets)
-            assert [total.hex(), *map(float.hex, parts)] == [den.hex(), *map(float.hex, nums)], net.name
-
-    def test_chunked_sum_against_the_walk(self, monkeypatch):
-        # a sum of more than _SUM_CHUNK entries, over the whole array or a
-        # target's strided slice, is added chunk by chunk; small chunks
-        # bring every seam into reach of the walk
-        monkeypatch.setattr(inference, "_SUM_CHUNK", 5)
-        rng = np.random.default_rng(2929)
-        for i in range(300):
-            net = netgen.random_network(rng, name=f"chunks{i}", max_vars=6)
-            if i % 2:
-                net = netgen.with_zeros(rng, net)
-            _, _, ev = netgen.random_point_query(rng, net)
-            targets = [(v, net.states(v)[-1]) for v in sorted(net.variables)]
-            den, nums = self._sums(net, ev, targets)
-            total, parts = constrained_sweep(net, ev, targets)
-            assert [total.hex(), *map(float.hex, parts)] == [den.hex(), *map(float.hex, nums)], net.name
+            assert type(total) is float and all(type(x) is float for x in parts), net.name
+            assert max(map(exact.ulps, [total, *parts], [den, *nums])) <= exact.BOUND, net.name
 
     def test_negative_zero_entries_sum_to_zero(self):
         # a stored -0.0 passes validation; the walk starts from +0.0
@@ -558,11 +646,12 @@ class TestPinnedBits:
         assert [total.hex(), *map(float.hex, parts)] == [den.hex(), *map(float.hex, nums)]
         assert conditional_query(net, "a", "t", {"b": "t"}).probability.hex() == "0x0.0p+0"
 
-    def test_long_sum_keeps_its_drift(self):
-        # 177,147 worlds added one at a time drift from 0.2; pairwise
-        # summation would land elsewhere
-        got = conditional_query(three_state_chain(13), "v12", "s0", {"v0": "s1"}).probability
-        assert got.hex() == "0x1.9999999998111p-3"
+    def test_long_sum_is_correctly_rounded(self):
+        # 177,147 worlds added one at a time drift 6,281 ULPs from 0.2;
+        # summed pairwise they land on the correctly rounded answer
+        net = three_state_chain(13)
+        got = conditional_query(net, "v12", "s0", {"v0": "s1"}).probability
+        assert got.hex() == float(exact.conditional(net, "v12", "s0", {"v0": "s1"})).hex() == "0x1.999999999999ap-3"
 
     @staticmethod
     def _eliminated(net, target, constraints):
