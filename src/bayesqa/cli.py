@@ -6,7 +6,8 @@ gen-dataset, wep, classify, score, baseline, stats. Global flags ``--seed``,
 subcommand.
 
 Exit codes: 0 on success, 1 on domain errors (the message names the error
-type), 2 on usage errors. No environment variables are consulted; behavior is
+type) and, with no message, when the reader of stdout closes it early, 2 on
+usage errors. No environment variables are consulted; behavior is
 controlled by explicit flags only.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, replace
@@ -426,7 +428,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # looked up when the command runs: the parser outlives a call, and a
         # wrapper set on the module attribute later must be the one called
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout closed it early (``| head``): exit 1 quietly,
+        # with stdout on devnull so the interpreter's last flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (BayesqaError, OSError, ValueError) as exc:  # OSError: writing an output file
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -113,7 +113,8 @@ class DatasetInstance:
 
 
 def _percent(p: float) -> str:
-    text = f"{p * 100:.4f}".rstrip("0").rstrip(".")
+    # every premise spells a probability here; ``+ 0.0`` as in format_probability
+    text = f"{(p + 0.0) * 100:.4f}".rstrip("0").rstrip(".")
     return f"{text}%"
 
 

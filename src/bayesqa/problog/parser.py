@@ -31,6 +31,17 @@ character offset from a fresh split and resolves it to ``line L, column C``
 (both from 1, the column counting characters after the last newline). One
 parse builds one :class:`Atom` per distinct name and one :class:`Literal` per
 signed atom, so equal nodes of a program are the same object.
+
+:func:`parse` first walks coarser tokens, split by ``_ATOM_SPLIT``: a ground
+atom in canonical spelling (``v1(x,s0)``, ``a(e,'0-299')``: arguments joined
+by ``,`` with no layout, no empty quoted constant) is one token, ending in
+``)``, and becomes an :class:`Atom` once per distinct text. Such a token is
+exactly the fine tokens it spans, run together, and it never starts at
+``query(`` or ``evidence(``, where the statement rule must see the keyword
+alone; where a constant belongs it is refused. So the walk reads the same
+program from either split. Atoms with layout inside stay token by token. A
+refusal is always worded by the token-by-token walk: when the coarse walk
+raises, :func:`parse` parses the text again from :func:`_tokenize`.
 """
 
 from __future__ import annotations
@@ -44,6 +55,14 @@ from .syntax import IDENT, QUOTED, Atom, Clause, Evidence, Literal, ProbHead, Pr
 # sets how fast a match is found: the most frequent first
 _SPLIT = re.compile(rf"(%[^\n]*)|({IDENT}|[;,.()]|::|:-|\d+\.\d+|\d+|{QUOTED})")
 _SPACE = " \t\r\n"
+# the same split with a whole canonical atom as one token: it shares its first
+# character with an identifier, so it must be tried first
+_CONSTANT = rf"(?:{IDENT}|'[^'\n]+')"
+_ATOM_SPLIT = re.compile(
+    rf"(%[^\n]*)|((?!query\(|evidence\(){IDENT}\({_CONSTANT}(?:,{_CONSTANT})*\)"
+    rf"|{IDENT}|[;,.()]|::|:-|\d+\.\d+|\d+|{QUOTED})"
+)
+_ARGUMENT = re.compile(rf"({IDENT})|'([^'\n]+)'")
 
 
 def _position(text: str, offset: int) -> str:
@@ -68,6 +87,17 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _atom_tokens(text: str) -> list[str]:
+    """The tokens of :func:`_tokenize`, each canonical atom run into one."""
+
+    pieces = _ATOM_SPLIT.split(text)
+    if "".join(pieces[::3]).strip(_SPACE):
+        return _tokenize(text)  # the same gaps: it raises, and words the refusal
+    tokens = list(filter(None, pieces[2::3]))
+    tokens.append("")
+    return tokens
+
+
 def _offset(text: str, k: int) -> int:
     """The character offset of token ``k``, from a fresh split of ``text``."""
 
@@ -84,10 +114,11 @@ def _offset(text: str, k: int) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[str]):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.atoms: dict[tuple[str, ...], Atom] = {}  # (predicate, *args)
+        self.tokens = tokens
+        # keyed by (predicate, *args), and by the text of a whole-atom token
+        self.atoms: dict[tuple[str, ...] | str, Atom] = {}
         self.literals: dict[tuple[Atom, bool], Literal] = {}
 
     def error(self, k: int, message: str) -> ProblogSyntaxError:
@@ -166,13 +197,20 @@ class _Parser:
         name = tokens[i]
         if not "a" <= name < "{":  # the tokens that start with a lowercase letter
             raise self.fail(i, "a predicate name")
+        if name[-1] == ")":  # a whole canonical atom
+            atom = self.atoms.get(name)
+            if atom is None:
+                k = name.index("(")
+                args = [ident or quoted for ident, quoted in _ARGUMENT.findall(name, k + 1)]
+                atom = self.atoms[name] = self.intern(name[:k], args)
+            return atom, i + 1
         args: list[str] = []
         if tokens[i + 1] == "(":
             sep = ","
             i += 1
             while sep == ",":  # i is at the '(' or ',' before a constant
                 constant = tokens[i + 1]
-                if "a" <= constant < "{":
+                if "a" <= constant < "{" and constant[-1] != ")":  # not a whole atom
                     args.append(constant)
                 elif constant[:1] == "'":
                     if constant == "''":
@@ -184,23 +222,32 @@ class _Parser:
                 sep = tokens[i]
             if sep != ")":
                 raise self.fail(i, "')' or ','")
+        return self.intern(name, args), i + 1
+
+    def intern(self, name: str, args: list[str]) -> Atom:
         key = (name, *args)
         atom = self.atoms.get(key)
         if atom is None:
             atom = self.atoms[key] = Atom(predicate=name, args=tuple(args))
-        return atom, i + 1
+        return atom
 
 
 def parse(text: str) -> ProblogProgram:
     """Parse program text; raise :class:`ProblogSyntaxError` with position."""
 
-    return _Parser(text).program()
+    tokens = _atom_tokens(text)
+    try:
+        return _Parser(text, tokens).program()
+    except ProblogSyntaxError:
+        # the coarse walk's message counts whole atoms as one token, so the
+        # token-by-token walk refuses again and words the refusal
+        return _Parser(text, _tokenize(text)).program()
 
 
 def parse_atom(text: str) -> Atom:
     """Parse a single atom, e.g. a CLI query argument."""
 
-    p = _Parser(text)
+    p = _Parser(text, _tokenize(text))
     atom, i = p.atom(0)
     if p.tokens[i]:
         raise p.fail(i, "end of input after atom")

@@ -118,7 +118,9 @@ def validate_program(program: ProblogProgram) -> list[str]:
 
 
 def format_probability(p: float) -> str:
-    s = f"{p:.6f}".rstrip("0")
+    # every program text spells a probability here; ``+ 0.0`` turns a stored
+    # -0.0 (validation accepts it) into 0.0 and leaves any other float as it is
+    s = f"{p + 0.0:.6f}".rstrip("0")
     return s + "0" if s.endswith(".") else s
 
 

@@ -523,6 +523,23 @@ class TestTranslation:
         assert "error: ProblogSyntaxError" in err
 
 
+class TestClosedStdout:
+    def test_closed_pipe_exits_1_without_a_message(self):
+        # a reader that stops early (`| head -1`), as a pipe whose read end is
+        # closed before the command starts, so nothing depends on timing
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(bayesqa.__file__).resolve().parents[1])
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "bayesqa.cli", "to-problog", NET],
+                stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}, check=False,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+
 class TestSubset:
     def test_extract(self, capsys, tmp_path):
         out_path = tmp_path / "sub.json"
@@ -650,17 +667,46 @@ class TestGenDataset:
         assert err.startswith("error: UnrepresentableName: ") and name in err and err.count("\n") == 1, err
         assert list(out.iterdir()) == []
 
-    def test_variable_named_not_solves_back(self, capsys, tmp_path):
-        net = tmp_path / "not.json"
-        net.write_text(Path(NET).read_text(encoding="utf-8").replace('"gallstones"', '"not"'), encoding="utf-8")
+    @staticmethod
+    def solved_back(capsys, tmp_path, text: str) -> list:
+        """gen-dataset a network's JSON text; each program must answer its gold."""
+
+        net = tmp_path / "net.json"
+        net.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         code, _, _ = run(capsys, "gen-dataset", str(net), "--count", "12", "--seed", "7", "--out", str(out))
         assert code == 0
         instances = load_dataset(out / "dataset.jsonl")
-        assert any(b.variable == "not" for i in instances for b in (*i.evidence, i.question))
         for inst in instances:
             (p,) = evaluate(parse((out / f"{inst.id}.pl").read_text(encoding="utf-8"))).values()
             assert abs(p - inst.gold) <= 1e-12
+        return instances
+
+    def test_variable_named_not_solves_back(self, capsys, tmp_path):
+        text = Path(NET).read_text(encoding="utf-8").replace('"gallstones"', '"not"')
+        instances = self.solved_back(capsys, tmp_path, text)
+        assert any(b.variable == "not" for i in instances for b in (*i.evidence, i.question))
+
+    def test_variables_named_query_and_evidence_solve_back(self, capsys, tmp_path):
+        # `query(` and `evidence(` are never read as one whole-atom token
+        text = Path(NET).read_text(encoding="utf-8")
+        text = text.replace('"gallstones"', '"query"').replace('"flatulence"', '"evidence"')
+        instances = self.solved_back(capsys, tmp_path, text)
+        named = {b.variable for i in instances for b in (*i.evidence, i.question)}
+        assert {"query", "evidence"} <= named
+
+    def test_negative_zero_entry_solves_back(self, capsys, tmp_path):
+        # validation accepts a stored -0.0: programs must spell it 0.0, and premises 0%
+        doc = json.loads(Path(NET).read_text(encoding="utf-8"))
+        (cpt,) = [c for c in doc["cpts"] if c["variable"] == "flatulence"]
+        (row,) = [r for r in cpt["rows"] if r["given"] == {"gallstones": "true"}]
+        row["p"] = [-0.0, 1.0]
+        instances = self.solved_back(capsys, tmp_path, json.dumps(doc))
+        texts = [p.text for i in instances for p in i.premises]
+        assert not any("-0%" in t for t in texts)
+        assert any("flatulence being true is 0%," in t for t in texts)
+        code, out, _ = run(capsys, "to-problog", str(tmp_path / "net.json"))
+        assert code == 0 and "0.0::flatulence(patient) :- gallstones(patient).\n" in out and "-0.0" not in out
 
     def test_rerun_removes_only_its_own_stale_programs(self, capsys, tmp_path):
         out = tmp_path / "out"

@@ -109,6 +109,12 @@ class TestGrammar:
         bodies = [lit for c in prog.clauses for lit in c.body]
         assert all(x is y for x in bodies for y in bodies if x == y)
 
+    def test_whole_and_spaced_atoms_are_one_object(self):
+        # `a(e,f)` is one token and `a(e, f)` five: both name one Atom
+        prog = parse("0.5::a(e,f).\nb :- a(e, f).\nquery(a(e,f)).\n")
+        head = prog.clauses[0].heads[0].atom
+        assert prog.clauses[1].body[0].atom is head and prog.queries[0].atom is head
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -309,3 +315,61 @@ class TestTokenizer:
             for k in reversed(chosen):
                 text = text[:k] + extra + text[k:]
             assert parse(text) == program
+
+
+def _walked(text: str) -> ProblogProgram | str:
+    """The token-by-token walk's program, or its refusal text."""
+
+    try:
+        return parser._Parser(text, parser._tokenize(text)).program()
+    except ProblogSyntaxError as exc:
+        return str(exc)
+
+
+def _parsed(text: str) -> ProblogProgram | str:
+    try:
+        return parse(text)
+    except ProblogSyntaxError as exc:
+        return str(exc)
+
+
+def _rule(head: Atom, *body: Literal) -> ProblogProgram:
+    return ProblogProgram((Clause((ProbHead(1.0, head),), body),))
+
+
+class TestWholeAtomTokens:
+    """``parse`` reads a canonical atom as one token; it must give the
+    program or the refusal the token-by-token walk gives."""
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            # a whole atom where a constant belongs
+            ("quey(v2(e,s2)).", "line 1, column 8: expected ')' or ',', found '('"),
+            ("query(a).", ProblogProgram(queries=(Query(Atom("a")),))),
+            ("evidence(a,true).", ProblogProgram(evidence=(Evidence(Atom("a"), True),))),
+            ("p :- query(a).", _rule(Atom("p"), Literal(Atom("query", ("a",))))),
+            ("p :- not(e).", _rule(Atom("p"), Literal(Atom("not", ("e",))))),
+            ("p :- not not(e).", _rule(Atom("p"), Literal(Atom("not", ("e",)), negated=True))),
+            ("a('x,y').", _rule(Atom("a", ("x,y",)))),
+            ("x.\n0.5::a(e,'').", "line 2, column 10: empty quoted constant"),
+            ("0.5 a(e).", "line 1, column 5: expected '::' after probability, found 'a'"),
+            ("a(e, 'f g').", _rule(Atom("a", ("e", "f g")))),
+            ("a(e,% note\nf).", _rule(Atom("a", ("e", "f")))),
+            ("a(e ,f) :- b( e).", _rule(Atom("a", ("e", "f")), Literal(Atom("b", ("e",))))),
+        ],
+    )
+    def test_case_matches_the_token_by_token_walk(self, text, want):
+        assert _walked(text) == want
+        assert _parsed(text) == want
+
+    def test_mutated_programs_match_the_token_by_token_walk(self):
+        checked = 0
+        for rng, _, text in _generated_texts(500, 9292):
+            # a variable named like a keyword reaches the paths a whole atom skips
+            keyword = ("query", "evidence", "not")[int(rng.integers(3))]
+            for source in (text, re.sub(r"\bv0\(", keyword + "(", text)):
+                for mutated in [source] + [_mutated(rng, source) for _ in range(3)]:
+                    assert _parsed(mutated) == _walked(mutated), mutated
+                    checked += 1
+        assert checked >= 3000
