@@ -29,7 +29,7 @@ from . import metrics as mt
 from . import netops
 from .errors import BayesqaError, NetworkFormatError
 from .inference import conditional_query, eliminate
-from .model import load_network, network_from_dict, network_to_json, read_input, read_json, validate
+from .model import load_network, network_to_json, read_input, read_network, validate
 from .problog import (
     bn_to_problog,
     enumerate_worlds,
@@ -99,11 +99,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    doc = read_json(args.network)
-    try:
-        net = network_from_dict(doc, renormalize=args.renormalize, check=False)
-    except NetworkFormatError as exc:  # as load_network does, name the file
-        raise NetworkFormatError(f"{args.network}: {exc}") from None
+    net = read_network(args.network, renormalize=args.renormalize)
     problems = validate(net)
     human = (
         [f"OK: {net.name} ({len(net.variables)} variables)"]
@@ -178,7 +174,9 @@ def cmd_subset(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_dataset(args: argparse.Namespace) -> int:
-    networks = [load_network(path) for path in args.networks]
+    # every file is read before anything is generated; generate_dataset
+    # validates each network, so they are read unchecked here
+    networks = [read_network(path) for path in args.networks]
     seen: dict[str, str] = {}
     for path, net in zip(args.networks, networks):
         if net.name in seen:
@@ -187,13 +185,17 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
                 f"network name {net.name!r} is used by both {seen[net.name]} and {path}"
             )
         seen[net.name] = path
-    # encode (refusing an unwritable name) and generate everything before
+    # generate and encode (refusing an unwritable name) everything before
     # touching --out, so a failure leaves no files
+    generated = []
+    for k, (path, net) in enumerate(zip(args.networks, networks)):
+        try:
+            generated.append(
+                ds.generate_dataset(net, args.count, args.seed, second_closest_prob=args.second_closest, stream=k)
+            )
+        except NetworkFormatError as exc:
+            raise NetworkFormatError(f"{path}: {exc}") from None
     encoders = [ds.NetworkEncoder(net) for net in networks]
-    generated = [
-        ds.generate_dataset(net, args.count, args.seed, second_closest_prob=args.second_closest, stream=k)
-        for k, net in enumerate(networks)
-    ]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # a program of one of these networks that no new instance owns is stale

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NetworkFormatError, UnsatisfiableEvidence, ZeroProbabilityEvidence
+from .errors import UnsatisfiableEvidence, ZeroProbabilityEvidence
 from .inference import _check_overlap, eliminate
 from .model import (
     BayesianNetwork,
@@ -47,8 +47,8 @@ from .model import (
     parents,
     read_records,
     record_field,
+    require_valid,
     topological_order,
-    validate,
     write_records,
 )
 from .problog.convert import atom_for, bn_to_problog
@@ -305,16 +305,15 @@ def generate_dataset(
     """Generate ``count`` instances for one network.
 
     ``stream`` separates the substreams of several networks generated under
-    one seed (the CLI passes the network's position).
+    one seed (the CLI passes the network's position). The network is
+    validated here, and an invalid one raises :class:`NetworkFormatError`
+    (:func:`~bayesqa.model.require_valid`); ``bayesqa gen-dataset`` leaves
+    this check to it.
     """
 
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    problems = validate(network)
-    if problems:
-        raise NetworkFormatError(
-            f"network {network.name!r} is invalid: " + "; ".join(str(p) for p in problems[:5])
-        )
+    require_valid(network)
     if len(network.variables) < 2:
         raise ValueError("dataset generation needs at least 2 variables")
 

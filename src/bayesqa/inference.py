@@ -42,6 +42,7 @@ multiplies and sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -56,7 +57,7 @@ from .errors import (
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import BayesianNetwork, parent_assignments, state_index, topological_order
+from .model import BayesianNetwork, state_index, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
@@ -112,15 +113,22 @@ class CompiledNetwork:
         self.parent_pos: list[tuple[int, ...]] = []
         self.strides: list[tuple[int, ...]] = []
         self.tables: list[np.ndarray] = []
+        states: dict[str, tuple[str, ...]] = {}
         for i, v in enumerate(self.order):
             cpt = network.cpts[v]
-            self.pos[v] = i
-            self.card[v] = len(network.states(v))
-            self.parent_pos.append(tuple(self.pos[p] for p in cpt.parents))
-            # row-major strides; parents precede v, so their card is already set
             ps = cpt.parents
-            self.strides.append(tuple(math.prod(self.card[q] for q in ps[j + 1 :]) for j in range(len(ps))))
-            table = np.array([cpt.rows[key] for key in parent_assignments(network, v)])
+            states[v] = network.states(v)
+            self.pos[v] = i
+            self.card[v] = len(states[v])
+            self.parent_pos.append(tuple([self.pos[p] for p in ps]))
+            # row-major strides, a running product from the last parent;
+            # parents precede v, so their card is already set
+            strides = [1] * len(ps)
+            for j in range(len(ps) - 1, 0, -1):
+                strides[j - 1] = strides[j] * self.card[ps[j]]
+            self.strides.append(tuple(strides))
+            rows = cpt.rows
+            table = np.array([rows[key] for key in itertools.product(*[states[p] for p in ps])])
             table.setflags(write=False)  # the elimination factors are views of it
             self.tables.append(table)
         self._factors: tuple[_Factor, ...] | None = None

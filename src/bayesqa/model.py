@@ -412,12 +412,19 @@ def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = T
         net.cpts[vid] = Cpt(variable=vid, parents=tuple(parent_ids), rows=rows)
 
     if check:
-        problems = validate(net)
-        if problems:
-            summary = "; ".join(str(p) for p in problems[:8])
-            more = f" (+{len(problems) - 8} more)" if len(problems) > 8 else ""
-            raise NetworkFormatError(f"invalid network: {summary}{more}")
+        require_valid(net)
     return net
+
+
+def require_valid(network: BayesianNetwork) -> None:
+    """Raise :class:`NetworkFormatError` listing up to 8 of the violations
+    :func:`validate` finds, if it finds any."""
+
+    problems = validate(network)
+    if problems:
+        summary = "; ".join(str(p) for p in problems[:8])
+        more = f" (+{len(problems) - 8} more)" if len(problems) > 8 else ""
+        raise NetworkFormatError(f"invalid network: {summary}{more}")
 
 
 def read_input(path: str | Path) -> str:
@@ -477,14 +484,26 @@ def write_records(path: str | Path, lines: Sequence[str]) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def load_network(path: str | Path) -> BayesianNetwork:
-    """Load and validate a network file (see :func:`network_from_dict`); errors name the file."""
+def read_network(path: str | Path, *, renormalize: bool = False) -> BayesianNetwork:
+    """Decode a network file without validating it (see
+    :func:`network_from_dict`); errors name the file."""
 
     doc = read_json(path)
     try:
-        return network_from_dict(doc)
+        return network_from_dict(doc, renormalize=renormalize, check=False)
     except NetworkFormatError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from None
+
+
+def load_network(path: str | Path) -> BayesianNetwork:
+    """Load and validate a network file; errors name the file."""
+
+    net = read_network(path)
+    try:
+        require_valid(net)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
+    return net
 
 
 def save_network(network: BayesianNetwork, path: str | Path) -> None:

@@ -13,11 +13,19 @@ Encoding (network → program), one statement per CPT row:
 Decoding inverts this, accepting any program in the fragment: head groups
 define variables, bodies define parents in first-named order, and each
 variable's bodies must partition its parent assignment grid (no overlap, no
-gap; the first bad cell in row-major order is reported). One atom table, built
-from the head atoms, maps each atom to ``(variable id, state)``; body
-literals, evidence and queries all resolve through it. A shared entity
-constant is stripped from atoms back into network metadata when every atom
-carries the same one.
+gap; the first bad cell in row-major order is reported). The decoder works on
+numbers: each head atom becomes a (variable, state) pair of indices, and each
+body literal a (parent, mask of allowed state indices) pair. Each atom and
+literal object is resolved once, by identity, which the parser's one object
+per text makes the usual case, and by equality when it is new, as the fresh
+objects of :func:`bn_to_problog` are. When a variable's bodies are exactly the
+cells of its parent grid, one state per parent in the first body's order, as
+an encoded network's are, they are looked up as the grid's keys; otherwise
+each body's cells are listed as tuples of state indices and the grid is
+walked in row-major order up to its first bad cell. The atom table
+returned maps each head atom to ``(variable id, state)``, and evidence and
+queries resolve through it. A shared entity constant is stripped from atoms
+back into network metadata when every atom carries the same one.
 
 Names are not checked here: variable ids become predicates and states and the
 entity become constants as they are, and :mod:`.syntax` refuses what it cannot
@@ -129,8 +137,8 @@ class CompiledProgram:
         return vid, frozenset(self.network.states(vid)) - {state}
 
     def conjunction(self, literals: Iterable[tuple[Atom, bool]]) -> dict[str, frozenset[str]]:
-        """The allowed states per variable under every ``(atom, value)``,
-        variables in first-seen order: a clause body, or a program's evidence."""
+        """The allowed states per variable under every ``(atom, value)`` of a
+        program's evidence, variables in first-seen order."""
 
         out: dict[str, frozenset[str]] = {}
         for atom, value in literals:
@@ -152,9 +160,9 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
     if not program.clauses:
         raise UnsupportedFragment("program defines no clauses")
 
-    # pass 1: variables from heads, annotated disjunctions first so that a
-    # lone head of the same predicate and prefix joins its group
-    states: dict[_VarKey, list[str]] = {}
+    # pass 1: annotated-disjunction groups, numbered first, so that a lone
+    # head of the same predicate and prefix joins its group
+    groups: dict[tuple[str, tuple[str, ...]], int] = {}
     for clause in program.clauses:
         if len(clause.heads) > 1:
             first = clause.heads[0].atom
@@ -169,67 +177,94 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
                         "annotated disjunction mixes atoms "
                         f"{format_atom(first)} and {format_atom(h.atom)}"
                     )
-            states.setdefault((first.predicate, prefix), [])
+            groups.setdefault((first.predicate, prefix), len(groups))
+    keys: list[_VarKey] = list(groups)
+    names: list[list[str]] = [[] for _ in keys]
 
-    heads: dict[Atom, tuple[_VarKey, str]] = {}
-    clause_keys: list[tuple[_VarKey, dict[str, float]]] = []
+    # pass 2: heads. Each head atom is a (variable, state) pair of indices,
+    # found by equality in `heads` once per atom object and by identity in
+    # `seen` after that; the parser makes one object per atom
+    heads: dict[Atom, tuple[int, int]] = {}
+    seen: dict[int, tuple[int, int]] = {}
+
+    def define(atom: Atom) -> tuple[int, int]:
+        group = groups.get((atom.predicate, atom.args[:-1])) if atom.args else None
+        new = (len(names), 0) if group is None else (group, len(names[group]))
+        got = heads.setdefault(atom, new)
+        if got is new:
+            if group is None:
+                keys.append(atom)
+                names.append(list(BINARY_STATES))
+            else:
+                names[group].append(atom.args[-1])
+        seen[id(atom)] = got
+        return got
+
+    clause_heads: list[tuple[int, tuple[float, ...] | dict[int, float]]] = []
     for clause in program.clauses:
-        atom = clause.heads[0].atom
-        group = (atom.predicate, atom.args[:-1]) if atom.args else None
-        if group in states:
-            key: _VarKey = group
-            dist: dict[str, float] = {}
+        var, _ = seen.get(id(clause.heads[0].atom)) or define(clause.heads[0].atom)
+        if var < len(groups):
+            dist: dict[int, float] = {}
             for h in clause.heads:
-                state = h.atom.args[-1]
+                _, state = seen.get(id(h.atom)) or define(h.atom)
                 if state in dist:
                     raise UnsupportedFragment(
-                        f"duplicate head state {state!r} in {format_atom(h.atom)}"
+                        f"duplicate head state {h.atom.args[-1]!r} in {format_atom(h.atom)}"
                     )
                 dist[state] = h.probability
-                if h.atom not in heads:
-                    heads[h.atom] = (key, state)
-                    states[key].append(state)
             total = sum(dist.values())
             if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-                pred, prefix = group
+                pred, prefix = keys[var]
                 label = f"{pred}({','.join(prefix)},_)" if prefix else f"{pred}(_)"
                 raise UnsupportedFragment(f"head probabilities for {label} sum to {total!r}, not 1")
+            clause_heads.append((var, dist))
         else:
-            key = atom
-            if key not in states:
-                states[key] = list(BINARY_STATES)
-                heads[atom] = (key, BINARY_STATES[0])
             p = clause.heads[0].probability
-            dist = {BINARY_STATES[0]: p, BINARY_STATES[1]: 1.0 - p}
-        clause_keys.append((key, dist))
+            clause_heads.append((var, (p, 1.0 - p)))
 
     # variable ids: strip a shared entity constant when one exists
-    entity = _shared_entity(states)
-    ids = {key: _variable_id(key, entity) for key in states}
-    if len(set(ids.values())) < len(ids):
-        dup = sorted(v for v, n in Counter(ids.values()).items() if n > 1)
+    entity = _shared_entity(keys)
+    vids = [_variable_id(key, entity) for key in keys]
+    if len(set(vids)) < len(vids):
+        dup = sorted(v for v, n in Counter(vids).items() if n > 1)
         raise UnsupportedFragment(f"predicate(s) used inconsistently: {', '.join(dup)}")
 
     net = BayesianNetwork(name=name, entity=entity or "x")
-    for key, vid in ids.items():
-        net.variables[vid] = Variable(id=vid, name=vid, states=tuple(states[key]))
-    compiled = CompiledProgram(network=net, atoms={a: (ids[k], s) for a, (k, s) in heads.items()})
+    states = [tuple(s) for s in names]
+    for vid, var_states in zip(vids, states):
+        net.variables[vid] = Variable(id=vid, name=vid, states=var_states)
+    compiled = CompiledProgram(network=net, atoms={a: (vids[v], states[v][s]) for a, (v, s) in heads.items()})
 
-    # pass 2: bodies -> per-clause parent constraints and CPT row
-    clause_rows: dict[_VarKey, list[tuple[int, dict[str, frozenset[str]], tuple[float, ...]]]] = {
-        key: [] for key in states
-    }
-    for ci, (clause, (key, dist)) in enumerate(zip(program.clauses, clause_keys)):
-        try:
-            constraints = compiled.conjunction((lit.atom, not lit.negated) for lit in clause.body)
-        except UnknownClause:
-            atom = next(lit.atom for lit in clause.body if lit.atom not in compiled.atoms)
-            raise undefined_body_atom(atom, ci + 1, states) from None
-        clause_rows[key].append((ci, constraints, tuple(dist.get(s, 0.0) for s in states[key])))
+    # pass 3: each body literal becomes (parent, mask of its allowed state
+    # indices); each literal object is resolved once
+    full = [(1 << len(s)) - 1 for s in states]
+    literals: dict[int, tuple[int, int]] = {}
 
-    # pass 3: per variable, the bodies must partition the parent grid
-    for key, vid in ids.items():
-        net.cpts[vid] = _partition(net, vid, clause_rows[key])
+    def resolve(lit: Literal, clause_no: int) -> tuple[int, int]:
+        got = literals.get(id(lit))
+        if got is None:
+            resolved = seen.get(id(lit.atom)) or heads.get(lit.atom)
+            if resolved is None:
+                raise undefined_body_atom(lit.atom, clause_no, groups)
+            parent, state = resolved
+            got = literals[id(lit)] = (parent, full[parent] ^ (1 << state) if lit.negated else 1 << state)
+        return got
+
+    clause_rows: list[list[tuple[int, tuple[tuple[int, int], ...], tuple[float, ...]]]] = [[] for _ in keys]
+    for ci, (clause, (var, dist)) in enumerate(zip(program.clauses, clause_heads)):
+        body = tuple(map(literals.get, map(id, clause.body)))
+        if None in body:
+            body = tuple([resolve(lit, ci + 1) for lit in clause.body])
+        if isinstance(dist, dict):
+            row = [0.0] * len(states[var])
+            for state, p in dist.items():
+                row[state] = p
+            dist = tuple(row)
+        clause_rows[var].append((ci, body, dist))
+
+    # pass 4: per variable, the bodies must partition the parent grid
+    for var, rows in enumerate(clause_rows):
+        net.cpts[vids[var]] = _partition(vids, states, var, rows)
 
     # the passes above enforce every other invariant of model.validate;
     # compiling orders the variables, which is the check for cycles, and the
@@ -254,30 +289,80 @@ def undefined_body_atom(atom: Atom, clause_no: int, groups: Container[object]) -
 
 
 def _partition(
-    network: BayesianNetwork,
-    vid: str,
-    clause_rows: list[tuple[int, dict[str, frozenset[str]], tuple[float, ...]]],
+    vids: list[str],
+    states: list[tuple[str, ...]],
+    var: int,
+    clause_rows: list[tuple[int, tuple[tuple[int, int], ...], tuple[float, ...]]],
 ) -> Cpt:
-    """The CPT of ``vid`` when its clause bodies cover every parent assignment
-    exactly once; otherwise the first bad assignment in row-major order is
-    reported."""
+    """The CPT of variable ``var`` when its clause bodies cover every cell of
+    its parent grid exactly once; otherwise the first bad cell in row-major
+    order is reported (:func:`_count_cover`).
 
-    parent_ids = tuple(dict.fromkeys(p for _, cons, _ in clause_rows for p in cons))
-    cover: dict[tuple[str, ...], list[int]] = {}
-    for k, (_, cons, _) in enumerate(clause_rows):
-        for cell in itertools.product(*(cons[p] if p in cons else network.states(p) for p in parent_ids)):
+    A body is a tuple of ``(parent, allowed-state mask)`` pairs. In the
+    program that :func:`bn_to_problog` writes, each body is one cell of the
+    grid spelled as such pairs, one state per parent, in the first body's
+    parent order; such bodies are looked up as the cells' keys."""
+
+    bodies = [body for _, body, _ in clause_rows]
+    parents = tuple([p for p, _ in bodies[0]])
+    size = 1
+    for p in parents:
+        size *= len(states[p])
+    owner: list[int] | None = None
+    if size == len(bodies) and len(set(parents)) == len(parents):
+        # as many bodies as cells, and every cell a body: each body is a
+        # different cell
+        owners = dict(zip(bodies, range(size)))
+        grid = itertools.product(*[[(p, 1 << i) for i in range(len(states[p]))] for p in parents])
+        owner = list(map(owners.get, grid))
+        if None in owner:
+            owner = None
+    if owner is None:
+        parents, owner = _count_cover(vids, states, var, clause_rows)
+    rows = [clause_rows[k][2] for k in owner]
+    cells = itertools.product(*[states[p] for p in parents])
+    return Cpt(variable=vids[var], parents=tuple([vids[p] for p in parents]), rows=dict(zip(cells, rows)))
+
+
+def _count_cover(
+    vids: list[str],
+    states: list[tuple[str, ...]],
+    var: int,
+    clause_rows: list[tuple[int, tuple[tuple[int, int], ...], tuple[float, ...]]],
+) -> tuple[tuple[int, ...], list[int]]:
+    """The parents of variable ``var``, in the order its bodies first name
+    them, and for each cell of their grid in row-major order the position in
+    ``clause_rows`` of the one clause whose body covers it; raises for the
+    first cell that no clause or several clauses cover.
+
+    A cell is a tuple of state indices. The walk stops at the first bad
+    cell, so it visits at most one more cell than the bodies cover."""
+
+    allowed: list[dict[int, int]] = []
+    for _, body, _ in clause_rows:
+        masks: dict[int, int] = {}
+        for p, mask in body:
+            masks[p] = masks[p] & mask if p in masks else mask
+        allowed.append(masks)
+    parents = tuple(dict.fromkeys(p for masks in allowed for p in masks))
+    axes = [range(len(states[p])) for p in parents]
+    cover: dict[tuple[int, ...], list[int]] = {}
+    for k, masks in enumerate(allowed):
+        # a parent the body does not name keeps every state (mask -1)
+        spans = [[i for i in axis if masks.get(p, -1) >> i & 1] for p, axis in zip(parents, axes)]
+        for cell in itertools.product(*spans):
             cover.setdefault(cell, []).append(k)
-    rows: dict[tuple[str, ...], tuple[float, ...]] = {}
-    for cell in assignment_grid(network, parent_ids):
+    owner: list[int] = []
+    for cell in itertools.product(*axes):
         hits = cover.get(cell, ())
         if len(hits) != 1:
-            label = _row_label(parent_ids, cell)
+            label = _row_label([vids[p] for p in parents], tuple(states[p][i] for p, i in zip(parents, cell)))
             if not hits:
-                raise UnsupportedFragment(f"{vid}: no clause covers parent assignment {label}")
+                raise UnsupportedFragment(f"{vids[var]}: no clause covers parent assignment {label}")
             which = " and ".join(f"clause {clause_rows[k][0] + 1}" for k in hits)
-            raise UnsupportedFragment(f"{vid}: {which} overlap on parent assignment {label}")
-        rows[cell] = clause_rows[hits[0]][2]
-    return Cpt(variable=vid, parents=parent_ids, rows=rows)
+            raise UnsupportedFragment(f"{vids[var]}: {which} overlap on parent assignment {label}")
+        owner.append(hits[0])
+    return parents, owner
 
 
 def problog_to_bn(program: ProblogProgram, *, name: str = "program") -> BayesianNetwork:

@@ -574,6 +574,22 @@ class TestGenDataset:
         assert len(names) == 8
         assert names[0] == "gallstone-0000.pl"
 
+    def test_each_network_is_validated_once(self, capsys, monkeypatch, tmp_path, sprinkler_file):
+        # wrapped wherever a module holds model.validate, as qabench's tracer wraps a layer
+        real, checked = bayesqa.model.validate, []
+
+        def counted(network):
+            checked.append(network.name)
+            return real(network)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("bayesqa")]:
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+        code, _, _ = run(capsys, "gen-dataset", NET, sprinkler_file, "--count", "2", "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert checked == ["gallstone", "sprinkler"]
+
     def test_kind_filter(self, capsys, tmp_path):
         d = tmp_path / "numeric"
         code, _, _ = run(
@@ -639,6 +655,36 @@ class TestGenDataset:
         assert "error: NetworkFormatError" in err
         assert "'gallstone'" in err and NET in err and str(again) in err
         assert not out.exists()
+
+    def test_error_precedence(self, capsys, monkeypatch, tmp_path):
+        # every file is read, then names are compared, before any network is
+        # generated; an invalid network is refused before an unwritable name
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text(TestInputErrors.NETWORK_FILES["invalid"][0], encoding="utf-8")
+        again = tmp_path / "again.json"
+        again.write_text(Path(NET).read_text(encoding="utf-8"), encoding="utf-8")
+        unwritable = tmp_path / "unwritable.json"
+        text = Path(NET).read_text(encoding="utf-8")
+        unwritable.write_text(text.replace('"gallstones"', '"Gallstones"').replace('"gallstone"', '"other"'), "utf-8")
+        missing = tmp_path / "missing.json"
+        generated = []
+        real = bayesqa.dataset.generate_dataset
+        monkeypatch.setattr(
+            bayesqa.dataset, "generate_dataset", lambda net, *a, **k: generated.append(net.name) or real(net, *a, **k)
+        )
+        out = str(tmp_path / "out")
+        cases = [
+            ((NET, invalid, missing), f"{missing}: ", []),
+            ((invalid, NET, again), "network name 'gallstone' is used by both", []),
+            ((unwritable, invalid), f"{invalid}: invalid network: ", ["other", "x"]),
+        ]
+        for files, message, names in cases:
+            generated.clear()
+            code, _, err = run(capsys, "gen-dataset", *map(str, files), "--count", "2", "--out", out)
+            assert code == 1
+            assert err.startswith(f"error: NetworkFormatError: {message}"), err
+            assert generated == names
+        assert not Path(out).exists()
 
     def test_generation_error_writes_nothing(self, capsys, tmp_path):
         one = tmp_path / "one.json"

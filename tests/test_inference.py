@@ -39,7 +39,7 @@ from bayesqa.inference import (
     masked_posterior,
     posterior,
 )
-from bayesqa.model import Cpt, Variable, children, make_network, topological_order
+from bayesqa.model import Cpt, Variable, assignment_grid, children, make_network, topological_order
 from bayesqa.problog import evaluate
 from bayesqa.problog.convert import compile_program
 from conftest import three_state_chain
@@ -284,6 +284,20 @@ class TestLayouts:
             for v, f in zip(net.variables, compiled.factors(), strict=True):
                 assert f.vars == net.cpts[v].parents + (v,)
                 assert np.shares_memory(f.values, compiled.tables[compiled.pos[v]])
+
+    def test_strides_index_the_row_major_table(self, gallstone_net):
+        rng = np.random.default_rng(32)
+        for net in (gallstone_net, *(netgen.random_network(rng, name=f"rows{i}") for i in range(30))):
+            compiled = CompiledNetwork(net)
+            for v, parent_pos, strides, table in zip(
+                compiled.order, compiled.parent_pos, compiled.strides, compiled.tables, strict=True
+            ):
+                parents = net.cpts[v].parents
+                assert parent_pos == tuple(compiled.pos[p] for p in parents)
+                for k, key in enumerate(assignment_grid(net, parents)):
+                    at = sum(net.states(p).index(s) * stride for p, s, stride in zip(parents, key, strides, strict=True))
+                    assert at == k and tuple(table[k]) == net.cpts[v].rows[key]
+                assert table.shape == (k + 1, len(net.states(v)))
 
     @pytest.mark.parametrize("share", [1, 10**9], ids=["copied", "strided"])
     def test_extra_variables_go_in_front(self, monkeypatch, share):

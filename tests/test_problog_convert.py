@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,21 +13,37 @@ from hypothesis import strategies as st
 
 import netgen
 from bayesqa.dataset import NetworkEncoder
-from bayesqa.errors import UnknownClause, UnrepresentableName, UnsupportedFragment
+from bayesqa.errors import (
+    NetworkFormatError,
+    ProblogSyntaxError,
+    UnknownClause,
+    UnrepresentableName,
+    UnsupportedFragment,
+)
+from bayesqa.inference import compile_network
 from bayesqa.model import (
     ROW_SUM_TOLERANCE,
     BayesianNetwork,
     Cpt,
     Variable,
+    _row_label,
     assignment_grid,
     make_network,
     network_to_dict,
     validate,
 )
-from bayesqa.problog import Atom, bn_to_problog, parse, problog_to_bn, serialize
-from bayesqa.problog.convert import BINARY_STATES, atom_for, compile_program
-from bayesqa.problog.syntax import Clause, Literal, ProbHead, ProblogProgram, validate_program
+from bayesqa.problog import Atom, bn_to_problog, convert, parse, problog_to_bn, serialize
+from bayesqa.problog.convert import (
+    BINARY_STATES,
+    _shared_entity,
+    _variable_id,
+    atom_for,
+    compile_program,
+    undefined_body_atom,
+)
+from bayesqa.problog.syntax import Clause, Literal, ProbHead, ProblogProgram, format_atom, validate_program
 from conftest import GALLSTONE_TEXT
+from test_problog_parser import _generated_texts, _mutated
 
 
 def _statements(text: str) -> set[str]:
@@ -362,6 +380,35 @@ class TestParentGrid:
         ):
             problog_to_bn(parse(text))
 
+    def test_a_gap_in_a_wide_grid_is_found_without_walking_the_grid(self):
+        # 2**40 cells, two covered: the walk stops at the first gap
+        parents = [f"p{i}" for i in range(40)]
+        text = "".join(f"0.5::{p}(e).\n" for p in parents) + "".join(
+            f"0.5::y(e) :- {', '.join(sign + p + '(e)' for p in parents)}.\n" for sign in ("", "not ")
+        )
+        label = ", ".join(f"{p}=true" for p in parents[:-1]) + ", p39=false"
+        with pytest.raises(UnsupportedFragment, match=rf"^y: no clause covers parent assignment \({label}\)$"):
+            problog_to_bn(parse(text))
+
+    def test_encoded_bodies_are_looked_up_as_grid_keys(self, monkeypatch, gallstone_net):
+        # the lookup, not the cell listing, decodes every CPT of an encoded
+        # network, roots included; that lookup is most of the decoder's speed
+        monkeypatch.setattr(convert, "_count_cover", lambda *args: pytest.fail("cells listed"))
+        rng = np.random.default_rng(5)
+        for net in [gallstone_net] + [netgen.random_network(rng, name=f"k{i}") for i in range(20)]:
+            for program in (bn_to_problog(net), parse(serialize(bn_to_problog(net)))):
+                got = compile_program(program).network
+                assert {v: cpt.parents for v, cpt in got.cpts.items()} == {v: cpt.parents for v, cpt in net.cpts.items()}
+
+    def test_a_parent_named_twice_in_every_body_is_one_parent(self):
+        # four bodies over a binary z, as many as a grid over (z, z) has cells
+        text = "0.5::z(e).\n" + "".join(
+            f"0.{k + 1}::y(e) :- {a}z(e), {b}z(e).\n" for k, (a, b) in enumerate(itertools.product(("", "not "), repeat=2))
+        )
+        net = problog_to_bn(parse(text))
+        assert net.cpts["y"].parents == ("z",)
+        assert net.cpts["y"].rows == {("true",): (0.1, 1.0 - 0.1), ("false",): (0.4, 1.0 - 0.4)}
+
     @pytest.mark.parametrize(
         "body_a, body_b, message",
         [
@@ -377,3 +424,201 @@ class TestParentGrid:
         text = self.GROUP + f"0.1::y(e) :- {body_a}.\n0.2::y(e) :- {body_b}.\n0.3::y(e) :- x(e,c).\n"
         with pytest.raises(UnsupportedFragment, match=message):
             problog_to_bn(parse(text))
+
+
+def _reference_compile(program: ProblogProgram) -> tuple[BayesianNetwork, dict[Atom, tuple[str, str]]]:
+    """``compile_program`` as it was before it worked on state indices, kept as
+    the reference: a body is a frozenset of allowed state names per parent,
+    and the parent grid is covered by state-name tuples. Returns the network
+    and the atom table."""
+
+    if not program.clauses:
+        raise UnsupportedFragment("program defines no clauses")
+    states: dict[object, list[str]] = {}
+    for clause in program.clauses:
+        if len(clause.heads) > 1:
+            first = clause.heads[0].atom
+            if not first.args:
+                raise UnsupportedFragment(f"annotated disjunction over zero-argument atom {format_atom(first)}")
+            prefix = first.args[:-1]
+            for h in clause.heads[1:]:
+                if h.atom.predicate != first.predicate or h.atom.args[:-1] != prefix:
+                    raise UnsupportedFragment(
+                        f"annotated disjunction mixes atoms {format_atom(first)} and {format_atom(h.atom)}"
+                    )
+            states.setdefault((first.predicate, prefix), [])
+
+    heads: dict[Atom, tuple[object, str]] = {}
+    clause_keys: list[tuple[object, dict[str, float]]] = []
+    for clause in program.clauses:
+        atom = clause.heads[0].atom
+        group = (atom.predicate, atom.args[:-1]) if atom.args else None
+        if group in states:
+            key: object = group
+            dist: dict[str, float] = {}
+            for h in clause.heads:
+                state = h.atom.args[-1]
+                if state in dist:
+                    raise UnsupportedFragment(f"duplicate head state {state!r} in {format_atom(h.atom)}")
+                dist[state] = h.probability
+                if h.atom not in heads:
+                    heads[h.atom] = (key, state)
+                    states[key].append(state)
+            total = sum(dist.values())
+            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+                pred, prefix = group
+                label = f"{pred}({','.join(prefix)},_)" if prefix else f"{pred}(_)"
+                raise UnsupportedFragment(f"head probabilities for {label} sum to {total!r}, not 1")
+        else:
+            key = atom
+            if key not in states:
+                states[key] = list(BINARY_STATES)
+                heads[atom] = (key, BINARY_STATES[0])
+            p = clause.heads[0].probability
+            dist = {BINARY_STATES[0]: p, BINARY_STATES[1]: 1.0 - p}
+        clause_keys.append((key, dist))
+
+    entity = _shared_entity(states)
+    ids = {key: _variable_id(key, entity) for key in states}
+    if len(set(ids.values())) < len(ids):
+        dup = sorted(v for v, n in Counter(ids.values()).items() if n > 1)
+        raise UnsupportedFragment(f"predicate(s) used inconsistently: {', '.join(dup)}")
+    net = BayesianNetwork(name="program", entity=entity or "x")
+    for key, vid in ids.items():
+        net.variables[vid] = Variable(id=vid, name=vid, states=tuple(states[key]))
+    atoms = {a: (ids[k], s) for a, (k, s) in heads.items()}
+
+    clause_rows: dict[object, list] = {key: [] for key in states}
+    for ci, (clause, (key, dist)) in enumerate(zip(program.clauses, clause_keys)):
+        constraints: dict[str, frozenset[str]] = {}
+        for lit in clause.body:
+            if lit.atom not in atoms:
+                raise undefined_body_atom(lit.atom, ci + 1, states)
+            vid, state = atoms[lit.atom]
+            allowed = frozenset(net.states(vid)) - {state} if lit.negated else frozenset((state,))
+            constraints[vid] = constraints[vid] & allowed if vid in constraints else allowed
+        clause_rows[key].append((ci, constraints, tuple(dist.get(s, 0.0) for s in states[key])))
+
+    for key, vid in ids.items():
+        parent_ids = tuple(dict.fromkeys(p for _, cons, _ in clause_rows[key] for p in cons))
+        cover: dict[tuple[str, ...], list[int]] = {}
+        for k, (_, cons, _) in enumerate(clause_rows[key]):
+            for cell in itertools.product(*(cons[p] if p in cons else net.states(p) for p in parent_ids)):
+                cover.setdefault(cell, []).append(k)
+        rows: dict[tuple[str, ...], tuple[float, ...]] = {}
+        for cell in assignment_grid(net, parent_ids):
+            hits = cover.get(cell, ())
+            if len(hits) != 1:
+                label = _row_label(parent_ids, cell)
+                if not hits:
+                    raise UnsupportedFragment(f"{vid}: no clause covers parent assignment {label}")
+                which = " and ".join(f"clause {clause_rows[key][k][0] + 1}" for k in hits)
+                raise UnsupportedFragment(f"{vid}: {which} overlap on parent assignment {label}")
+            rows[cell] = clause_rows[key][hits[0]][2]
+        net.cpts[vid] = Cpt(variable=vid, parents=parent_ids, rows=rows)
+
+    try:
+        compile_network(net)
+    except NetworkFormatError as exc:
+        raise UnsupportedFragment(f"program does not encode a valid network: [cycle] network: {exc}") from None
+    return net, atoms
+
+
+def _outcome(compile_, program: ProblogProgram) -> tuple:
+    """What compiling gives, in a form that compares orders and float bits:
+    every variable, every CPT with its rows in order, and the atom table; or
+    the exception's type and text."""
+
+    try:
+        net, atoms = compile_(program)
+    except (UnsupportedFragment, UnknownClause) as exc:
+        return type(exc).__name__, str(exc)
+    variables = [(vid, v.id, v.name, v.states) for vid, v in net.variables.items()]
+    cpts = [
+        (vid, cpt.variable, cpt.parents, [(key, [p.hex() for p in row]) for key, row in cpt.rows.items()])
+        for vid, cpt in net.cpts.items()
+    ]
+    return "ok", net.name, net.entity, variables, cpts, list(atoms.items())
+
+
+def _compiled(program: ProblogProgram) -> tuple[BayesianNetwork, dict[Atom, tuple[str, str]]]:
+    compiled = compile_program(program)
+    return compiled.network, compiled.atoms
+
+
+class TestIndexedDecoder:
+    """compile_program gives what the string-keyed reference gives: the same
+    network and atom table, or the same refusal."""
+
+    # words of the UnsupportedFragment refusals each met at least 20 times
+    FRAGMENT_REFUSALS = ("overlap", "no clause covers", "sum to", "cycle")
+
+    def test_generated_and_mutated_texts_match_the_reference(self):
+        outcomes = Counter()
+        for rng, _, text in _generated_texts(500, 9292):
+            keyword = ("query", "evidence", "not")[int(rng.integers(3))]
+            for source in (text, re.sub(r"\bv0\(", keyword + "(", text)):
+                for mutated in [source] + [_mutated(rng, source) for _ in range(3)]:
+                    try:
+                        program = parse(mutated)
+                    except ProblogSyntaxError:
+                        outcomes["syntax"] += 1
+                        continue
+                    # the same program with one clause edited, which puts
+                    # new, equal literals beside the parser's shared ones,
+                    # and with a cycle added
+                    variants = [program, TestValidateIsTheOracle._mutate(rng, program)]
+                    try:
+                        net = compile_program(program).network
+                    except (UnsupportedFragment, UnknownClause):
+                        pass
+                    else:
+                        if any(cpt.parents for cpt in net.cpts.values()):
+                            variants.append(TestValidateIsTheOracle._with_cycle(net, program, False))
+                    for variant in variants:
+                        want = _outcome(_reference_compile, variant)
+                        assert _outcome(_compiled, variant) == want, serialize(variant)
+                        kind = want[0]  # "ok", "UnknownClause" or "UnsupportedFragment"
+                        if kind == "UnsupportedFragment":
+                            kind = next((w for w in self.FRAGMENT_REFUSALS if w in want[1]), "other")
+                        outcomes[kind] += 1
+        assert outcomes["ok"] >= 1000 and outcomes["UnknownClause"] >= 20, outcomes
+        assert all(outcomes[w] >= 20 for w in self.FRAGMENT_REFUSALS), outcomes
+
+    def test_equal_atoms_that_are_not_one_object_resolve_alike(self, gallstone_net):
+        # bn_to_problog builds a fresh atom for every body literal, where
+        # parse makes one object per text
+        rng = np.random.default_rng(31)
+        nets = [gallstone_net] + [netgen.random_network(rng, name=f"eq{i}") for i in range(40)]
+        for net in nets:
+            built = bn_to_problog(net)
+            parsed = parse(serialize(built))
+            body = [lit.atom for c in built.clauses for lit in c.body]
+            assert len({id(a) for a in body}) == len(body)
+            assert not {id(a) for a in body} & {id(h.atom) for c in built.clauses for h in c.heads}
+            want = _outcome(_compiled, parsed)
+            assert want[0] == "ok"
+            assert _outcome(_compiled, built) == want == _outcome(_reference_compile, built)
+
+    def test_one_literal_object_in_two_clauses_and_an_equal_one_in_a_third(self):
+        c, x = Atom("c", ("e",)), Atom("x", ("e",))
+        shared, equal = Literal(Atom("c", ("e",)), negated=True), Literal(Atom("c", ("e",)), negated=True)
+        assert shared == equal and shared is not equal and shared.atom is not c
+        ya, yb = Atom("y", ("e", "a")), Atom("y", ("e", "b"))
+        program = ProblogProgram(clauses=(
+            Clause((ProbHead(0.7, c),)),
+            Clause((ProbHead(0.6, x),)),
+            Clause((ProbHead(0.1, Atom("z", ("e",))),), (shared, Literal(x))),
+            Clause((ProbHead(0.4, Atom("z", ("e",))),), (shared, Literal(x, negated=True))),
+            Clause((ProbHead(0.9, Atom("z", ("e",))),), (Literal(c),)),
+            Clause((ProbHead(0.2, ya), ProbHead(0.8, yb)), (equal,)),
+            Clause((ProbHead(0.3, yb), ProbHead(0.7, ya)), (Literal(c),)),
+        ))
+        net = compile_program(program).network
+        assert net.cpts["z"].parents == ("c", "x")
+        assert net.cpts["z"].rows == {
+            ("true", "true"): (0.9, 1.0 - 0.9), ("true", "false"): (0.9, 1.0 - 0.9),
+            ("false", "true"): (0.1, 1.0 - 0.1), ("false", "false"): (0.4, 1.0 - 0.4),
+        }
+        assert net.cpts["y"].rows == {("true",): (0.7, 0.3), ("false",): (0.2, 0.8)}
+        assert _outcome(_compiled, program) == _outcome(_reference_compile, program)
