@@ -5,7 +5,8 @@ rules with negation-as-failure, plus ``evidence/2`` and ``query/1``
 directives. Submodules:
 
 * :mod:`.syntax` — AST types and the canonical serializer
-* :mod:`.parser` — tokenizer and recursive-descent parser
+* :mod:`.parser` — statement scan, with a tokenizer and recursive-descent
+  parser for every other text
 * :mod:`.convert` — translation to and from Bayesian networks
 * :mod:`.semantics` — query evaluation (via the network translation) and an
   independent possible-world enumerator implementing the distribution

@@ -17,15 +17,16 @@ gap; the first bad cell in row-major order is reported). The decoder works on
 numbers: each head atom becomes a (variable, state) pair of indices, and each
 body literal a (parent, mask of allowed state indices) pair. Each atom and
 literal object is resolved once, by identity, which the parser's one object
-per text makes the usual case, and by equality when it is new, as the fresh
+per atom makes the usual case, and by equality when it is new, as the fresh
 objects of :func:`bn_to_problog` are. When a variable's bodies are exactly the
 cells of its parent grid, one state per parent in the first body's order, as
 an encoded network's are, they are looked up as the grid's keys; otherwise
-each body's cells are listed as tuples of state indices and the grid is
-walked in row-major order up to its first bad cell. The atom table
-returned maps each head atom to ``(variable id, state)``, and evidence and
-queries resolve through it. A shared entity constant is stripped from atoms
-back into network metadata when every atom carries the same one.
+each body's cells are listed as tuples of state indices, after counting them
+against ``MAX_FACTOR_ENTRIES``, and the grid is walked in row-major order up
+to its first bad cell. The atom table returned maps each head atom to
+``(variable id, state)``, and evidence and queries resolve through it. A
+shared entity constant is stripped from atoms back into network metadata
+when every atom carries the same one.
 
 Names are not checked here: variable ids become predicates and states and the
 entity become constants as they are, and :mod:`.syntax` refuses what it cannot
@@ -35,12 +36,13 @@ write when the program is serialized.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Iterable
 
 from ..errors import NetworkFormatError, UnknownClause, UnsupportedFragment
-from ..inference import compile_network
+from ..inference import MAX_FACTOR_ENTRIES, compile_network
 from ..model import (
     ROW_SUM_TOLERANCE,
     BayesianNetwork,
@@ -335,8 +337,11 @@ def _count_cover(
     ``clause_rows`` of the one clause whose body covers it; raises for the
     first cell that no clause or several clauses cover.
 
-    A cell is a tuple of state indices. The walk stops at the first bad
-    cell, so it visits at most one more cell than the bodies cover."""
+    A cell is a tuple of state indices. The bodies' cells are counted before
+    any is listed, and more than :data:`~bayesqa.inference.MAX_FACTOR_ENTRIES`
+    are refused: no engine holds a table that large. The walk stops at the
+    first bad cell, so it visits at most one more cell than the bodies
+    cover."""
 
     allowed: list[dict[int, int]] = []
     for _, body, _ in clause_rows:
@@ -346,11 +351,16 @@ def _count_cover(
         allowed.append(masks)
     parents = tuple(dict.fromkeys(p for masks in allowed for p in masks))
     axes = [range(len(states[p])) for p in parents]
+    # a parent the body does not name keeps every state (mask -1)
+    spans = [[[i for i in axis if masks.get(p, -1) >> i & 1] for p, axis in zip(parents, axes)] for masks in allowed]
+    listed = sum(math.prod(map(len, body)) for body in spans)
+    if listed > MAX_FACTOR_ENTRIES:
+        raise UnsupportedFragment(
+            f"{vids[var]}: clause bodies cover {listed} parent assignments, more than the bound of {MAX_FACTOR_ENTRIES}"
+        )
     cover: dict[tuple[int, ...], list[int]] = {}
-    for k, masks in enumerate(allowed):
-        # a parent the body does not name keeps every state (mask -1)
-        spans = [[i for i in axis if masks.get(p, -1) >> i & 1] for p, axis in zip(parents, axes)]
-        for cell in itertools.product(*spans):
+    for k, body in enumerate(spans):
+        for cell in itertools.product(*body):
             cover.setdefault(cell, []).append(k)
     owner: list[int] = []
     for cell in itertools.product(*axes):

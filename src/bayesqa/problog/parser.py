@@ -1,4 +1,5 @@
-"""Tokenizer and recursive-descent parser for the program fragment.
+"""Statement scan, tokenizer and recursive-descent parser for the program
+fragment.
 
 Grammar (ground fragment; ``%`` starts a line comment):
 
@@ -20,28 +21,38 @@ keywords: ``evidence``/``query`` only at statement start with ``(`` next,
 ``not`` only in literal position with an ident next. So ``p :- not(e).`` has
 the positive body atom ``not(e)``, and ``p :- not not(e).`` negates it.
 
-The tokenizer is one ``_SPLIT.split``: for each match it yields the gap
-before it, the comment and the token. The gaps must be whitespace; the first
-other character in them is where an anchored scan would have stopped, and is
-reported as unexpected. A token is its plain text, ``""`` at the end of
-input, and its first character gives its kind (a lowercase letter an
-identifier, a digit a number, a quote a quoted constant; punctuation is its
-own kind). Tokens carry no position: an error recomputes its token's
-character offset from a fresh split and resolves it to ``line L, column C``
-(both from 1, the column counting characters after the last newline). One
-parse builds one :class:`Atom` per distinct name and one :class:`Literal` per
-signed atom, so equal nodes of a program are the same object.
+:func:`parse` reads a text one of two ways, and both give the same program
+or refusal. Every text :func:`~.syntax.serialize` writes is canonical:
+statements apart by layout alone, heads joined by ``; ``, literals by ``, ``,
+``not `` before a negated atom, `` :- `` before a body, arguments joined by
+``,`` with no layout and no empty quoted constant, one space in
+``evidence(ATOM, true).``. Such a text is read a whole statement at a time,
+each ``_STATEMENT`` match starting where the last one ended, and each node
+is built from a match's groups: a head or body block that holds no quote is cut with
+``str.split`` and ``rpartition``, one that does with ``findall``, since a
+quoted constant may hold ``; `` or ``, ``. The clause alternative never
+starts at ``query(`` or ``evidence(``, which the walk reads as a keyword.
+Where a match does not start where the last one ended, anything but layout
+follows the last one, or a probability is above 1, the scan gives up and
+the token-by-token walk reads the text from its start. The walk reads every
+other layout (comments, spaced atoms, ``evidence(a,true)``) and words every
+refusal.
 
-:func:`parse` first walks coarser tokens, split by ``_ATOM_SPLIT``: a ground
-atom in canonical spelling (``v1(x,s0)``, ``a(e,'0-299')``: arguments joined
-by ``,`` with no layout, no empty quoted constant) is one token, ending in
-``)``, and becomes an :class:`Atom` once per distinct text. Such a token is
-exactly the fine tokens it spans, run together, and it never starts at
-``query(`` or ``evidence(``, where the statement rule must see the keyword
-alone; where a constant belongs it is refused. So the walk reads the same
-program from either split. Atoms with layout inside stay token by token. A
-refusal is always worded by the token-by-token walk: when the coarse walk
-raises, :func:`parse` parses the text again from :func:`_tokenize`.
+The walk's tokenizer is one ``_SPLIT.split``: for each match it yields the
+gap before it, the comment and the token. The gaps must be whitespace; the
+first other character in them is where an anchored scan would have
+stopped, and is reported as unexpected. A token is its plain text, ``""``
+at the end of input, and its first character gives its kind (a lowercase
+letter an identifier, a digit a number, a quote a quoted constant;
+punctuation is its own kind). Tokens carry no position: an error recomputes
+its token's character offset from a fresh split and resolves it to ``line
+L, column C`` (both from 1, the column counting characters after the last
+newline).
+
+Either way, one parse builds one :class:`Atom` per ``(predicate, *args)``,
+whatever its spelling (``a(x,'y')`` and ``a(x,y)``), and one
+:class:`Literal` per signed atom, so equal nodes of a program are the same
+object.
 """
 
 from __future__ import annotations
@@ -55,13 +66,22 @@ from .syntax import IDENT, QUOTED, Atom, Clause, Evidence, Literal, ProbHead, Pr
 # sets how fast a match is found: the most frequent first
 _SPLIT = re.compile(rf"(%[^\n]*)|({IDENT}|[;,.()]|::|:-|\d+\.\d+|\d+|{QUOTED})")
 _SPACE = " \t\r\n"
-# the same split with a whole canonical atom as one token: it shares its first
-# character with an identifier, so it must be tried first
+# one canonical statement, layout before it: a clause (the most frequent, so
+# tried first), evidence or a query. Groups: heads, body, evidence atom and
+# value, query atom
+_NUMBER = r"\d+\.\d+|\d+"
 _CONSTANT = rf"(?:{IDENT}|'[^'\n]+')"
-_ATOM_SPLIT = re.compile(
-    rf"(%[^\n]*)|((?!query\(|evidence\(){IDENT}\({_CONSTANT}(?:,{_CONSTANT})*\)"
-    rf"|{IDENT}|[;,.()]|::|:-|\d+\.\d+|\d+|{QUOTED})"
+_ATOM = rf"{IDENT}(?:\({_CONSTANT}(?:,{_CONSTANT})*\))?"
+_HEAD = rf"(?:(?:{_NUMBER})::)?{_ATOM}"
+_LITERAL = rf"(?:not )?{_ATOM}"
+_STATEMENT = re.compile(
+    rf"[ \t\r\n]*(?:(?!query\(|evidence\()({_HEAD}(?:; {_HEAD})*)(?: :- ({_LITERAL}(?:, {_LITERAL})*))?\."
+    rf"|evidence\(({_ATOM}), (true|false)\)\.|query\(({_ATOM})\)\.)"
 )
+# the heads and the literals of a block that holds a quote; a head's groups
+# are those of its ``rpartition("::")``
+_HEADS = re.compile(rf"(?:({_NUMBER})(::))?({_ATOM})")
+_LITERALS = re.compile(_LITERAL)
 _ARGUMENT = re.compile(rf"({IDENT})|'([^'\n]+)'")
 
 
@@ -87,17 +107,6 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _atom_tokens(text: str) -> list[str]:
-    """The tokens of :func:`_tokenize`, each canonical atom run into one."""
-
-    pieces = _ATOM_SPLIT.split(text)
-    if "".join(pieces[::3]).strip(_SPACE):
-        return _tokenize(text)  # the same gaps: it raises, and words the refusal
-    tokens = list(filter(None, pieces[2::3]))
-    tokens.append("")
-    return tokens
-
-
 def _offset(text: str, k: int) -> int:
     """The character offset of token ``k``, from a fresh split of ``text``."""
 
@@ -113,13 +122,90 @@ def _offset(text: str, k: int) -> int:
     return len(text)  # the end-of-input token
 
 
-class _Parser:
+class _Nodes:
+    """The nodes of one parse: one :class:`Atom` per ``(predicate, *args)`` and
+    one :class:`Literal` per signed atom, so equal nodes are one object."""
+
+    def __init__(self) -> None:
+        self.atoms: dict[tuple[str, ...], Atom] = {}
+        self.literals: dict[tuple[Atom, bool], Literal] = {}
+
+    def intern(self, name: str, args: list[str]) -> Atom:
+        key = (name, *args)
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(predicate=name, args=tuple(args))
+        return atom
+
+    def literal(self, atom: Atom, negated: bool) -> Literal:
+        literal = self.literals.get((atom, negated))
+        if literal is None:
+            literal = self.literals[atom, negated] = Literal(atom=atom, negated=negated)
+        return literal
+
+
+def _scan(text: str) -> ProblogProgram | None:
+    """The program of a text of canonical statements, or ``None`` where the
+    text is not one or a probability is above 1: the walk then reads it, or
+    words its refusal."""
+
+    nodes = _Nodes()
+    # the node of each spelling; atom() and literal() read a new spelling and
+    # intern its node by what it names
+    atoms: dict[str, Atom] = {}
+    literals: dict[str, Literal] = {}
+
+    def atom(spelling: str) -> Atom:
+        name, _, args = spelling.partition("(")
+        if "'" in args:
+            got = nodes.intern(name, [ident or quoted for ident, quoted in _ARGUMENT.findall(args)])
+        else:
+            got = nodes.intern(name, args[:-1].split(",") if args else [])
+        atoms[spelling] = got
+        return got
+
+    def literal(spelling: str) -> Literal:
+        negated = spelling.startswith("not ")
+        inner = spelling[4:] if negated else spelling
+        got = nodes.literal(atoms.get(inner) or atom(inner), negated)
+        literals[spelling] = got
+        return got
+
+    clauses: list[Clause] = []
+    evidence: list[Evidence] = []
+    queries: list[Query] = []
+    end = 0
+    # one match from where the last one ended: a search on past a statement
+    # that fails would try every later start, and a long run of layout before
+    # it would cost time quadratic in its length
+    while m := _STATEMENT.match(text, end):
+        end = m.end()
+        heads, body, observed, value, asked = m.groups()
+        if heads is not None:
+            parts = _HEADS.findall(heads) if "'" in heads else [h.rpartition("::") for h in heads.split("; ")]
+            try:
+                alternatives = tuple([ProbHead(float(p) if p else 1.0, atoms.get(a) or atom(a)) for p, _, a in parts])
+            except ValueError:  # ProbHead refuses a probability above 1
+                return None
+            if body is None:
+                clauses.append(Clause(alternatives))
+            else:
+                spellings = _LITERALS.findall(body) if "'" in body else body.split(", ")
+                clauses.append(Clause(alternatives, tuple([literals.get(s) or literal(s) for s in spellings])))
+        elif observed is not None:
+            evidence.append(Evidence(atoms.get(observed) or atom(observed), value == "true"))
+        else:
+            queries.append(Query(atoms.get(asked) or atom(asked)))
+    if text[end:].strip(_SPACE):
+        return None
+    return ProblogProgram(tuple(clauses), tuple(evidence), tuple(queries))
+
+
+class _Parser(_Nodes):
     def __init__(self, text: str, tokens: list[str]):
+        super().__init__()
         self.text = text
         self.tokens = tokens
-        # keyed by (predicate, *args), and by the text of a whole-atom token
-        self.atoms: dict[tuple[str, ...] | str, Atom] = {}
-        self.literals: dict[tuple[Atom, bool], Literal] = {}
 
     def error(self, k: int, message: str) -> ProblogSyntaxError:
         return ProblogSyntaxError(f"{_position(self.text, _offset(self.text, k))}: {message}")
@@ -172,10 +258,7 @@ class _Parser:
             while sep == ",":
                 negated = tokens[i + 1] == "not" and "a" <= tokens[i + 2] < "{"
                 atom, i = self.atom(i + 1 + negated)
-                literal = self.literals.get((atom, negated))
-                if literal is None:
-                    literal = self.literals[atom, negated] = Literal(atom=atom, negated=negated)
-                body.append(literal)
+                body.append(self.literal(atom, negated))
                 sep = tokens[i]
         return Clause(heads=tuple(heads), body=tuple(body)), self.expect(i, ".", "'.' at end of statement")
 
@@ -197,20 +280,13 @@ class _Parser:
         name = tokens[i]
         if not "a" <= name < "{":  # the tokens that start with a lowercase letter
             raise self.fail(i, "a predicate name")
-        if name[-1] == ")":  # a whole canonical atom
-            atom = self.atoms.get(name)
-            if atom is None:
-                k = name.index("(")
-                args = [ident or quoted for ident, quoted in _ARGUMENT.findall(name, k + 1)]
-                atom = self.atoms[name] = self.intern(name[:k], args)
-            return atom, i + 1
         args: list[str] = []
         if tokens[i + 1] == "(":
             sep = ","
             i += 1
             while sep == ",":  # i is at the '(' or ',' before a constant
                 constant = tokens[i + 1]
-                if "a" <= constant < "{" and constant[-1] != ")":  # not a whole atom
+                if "a" <= constant < "{":
                     args.append(constant)
                 elif constant[:1] == "'":
                     if constant == "''":
@@ -224,24 +300,14 @@ class _Parser:
                 raise self.fail(i, "')' or ','")
         return self.intern(name, args), i + 1
 
-    def intern(self, name: str, args: list[str]) -> Atom:
-        key = (name, *args)
-        atom = self.atoms.get(key)
-        if atom is None:
-            atom = self.atoms[key] = Atom(predicate=name, args=tuple(args))
-        return atom
-
 
 def parse(text: str) -> ProblogProgram:
     """Parse program text; raise :class:`ProblogSyntaxError` with position."""
 
-    tokens = _atom_tokens(text)
-    try:
-        return _Parser(text, tokens).program()
-    except ProblogSyntaxError:
-        # the coarse walk's message counts whole atoms as one token, so the
-        # token-by-token walk refuses again and words the refusal
-        return _Parser(text, _tokenize(text)).program()
+    program = _scan(text)
+    if program is None:
+        program = _Parser(text, _tokenize(text)).program()
+    return program
 
 
 def parse_atom(text: str) -> Atom:

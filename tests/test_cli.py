@@ -734,12 +734,19 @@ class TestGenDataset:
         assert any(b.variable == "not" for i in instances for b in (*i.evidence, i.question))
 
     def test_variables_named_query_and_evidence_solve_back(self, capsys, tmp_path):
-        # `query(` and `evidence(` are never read as one whole-atom token
+        # the statement scan reads `query(` and `evidence(` as directives only
         text = Path(NET).read_text(encoding="utf-8")
         text = text.replace('"gallstones"', '"query"').replace('"flatulence"', '"evidence"')
         instances = self.solved_back(capsys, tmp_path, text)
         named = {b.variable for i in instances for b in (*i.evidence, i.question)}
         assert {"query", "evidence"} <= named
+
+    def test_state_holding_separators_solves_back(self, capsys, tmp_path):
+        # a quoted constant may hold what separates heads and literals
+        state = "300, 499; a::b :- c"
+        text = Path(NET).read_text(encoding="utf-8").replace('"300-499"', json.dumps(state))
+        instances = self.solved_back(capsys, tmp_path, text)
+        assert any(b.state == state for i in instances for b in (*i.evidence, i.question))
 
     def test_negative_zero_entry_solves_back(self, capsys, tmp_path):
         # validation accepts a stored -0.0: programs must spell it 0.0, and premises 0%

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -389,6 +390,33 @@ class TestParentGrid:
         label = ", ".join(f"{p}=true" for p in parents[:-1]) + ", p39=false"
         with pytest.raises(UnsupportedFragment, match=rf"^y: no clause covers parent assignment \({label}\)$"):
             problog_to_bn(parse(text))
+
+    @staticmethod
+    def _one_body_on_p0(n: int) -> str:
+        # y's bodies are p0 alone, which covers half of the 2**n grid, and
+        # one cell of it
+        parents = [f"p{i}" for i in range(n)]
+        return "".join(f"0.5::{p}(e).\n" for p in parents) + (
+            f"0.5::y(e) :- p0(e).\n0.5::y(e) :- {', '.join(p + '(e)' for p in parents)}.\n"
+        )
+
+    def test_an_overlap_under_the_bound_names_its_cell(self):
+        label = ", ".join(f"p{i}=true" for i in range(14))
+        with pytest.raises(
+            UnsupportedFragment, match=rf"^y: clause 15 and clause 16 overlap on parent assignment \({label}\)$"
+        ):
+            problog_to_bn(parse(self._one_body_on_p0(14)))
+
+    def test_cells_beyond_the_table_bound_are_refused_before_listing(self):
+        # 2**29 + 1 cells: listing them would take tens of minutes
+        text = self._one_body_on_p0(30)
+        start = time.perf_counter()
+        with pytest.raises(
+            UnsupportedFragment,
+            match=r"^y: clause bodies cover 536870913 parent assignments, more than the bound of 10000000$",
+        ):
+            problog_to_bn(parse(text))
+        assert time.perf_counter() - start < 1.0
 
     def test_encoded_bodies_are_looked_up_as_grid_keys(self, monkeypatch, gallstone_net):
         # the lookup, not the cell listing, decodes every CPT of an encoded

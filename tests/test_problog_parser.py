@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import numpy as np
 import pytest
@@ -110,7 +111,8 @@ class TestGrammar:
         assert all(x is y for x in bodies for y in bodies if x == y)
 
     def test_whole_and_spaced_atoms_are_one_object(self):
-        # `a(e,f)` is one token and `a(e, f)` five: both name one Atom
+        # `a(e, f)` has layout inside, so the walk reads this text: both
+        # spellings name one Atom
         prog = parse("0.5::a(e,f).\nb :- a(e, f).\nquery(a(e,f)).\n")
         head = prog.clauses[0].heads[0].atom
         assert prog.clauses[1].body[0].atom is head and prog.queries[0].atom is head
@@ -338,13 +340,17 @@ def _rule(head: Atom, *body: Literal) -> ProblogProgram:
 
 
 class TestWholeAtomTokens:
-    """``parse`` reads a canonical atom as one token; it must give the
-    program or the refusal the token-by-token walk gives."""
+    """``parse`` reads canonical text a whole statement at a time and hands
+    any other text to the token-by-token walk; either way it must give the
+    program or the refusal the walk gives. The cases are texts near the
+    edge of the scan: a keyword before ``(``, a constant shaped like an atom,
+    unspaced evidence, quoted constants with layout, and layout inside an
+    atom."""
 
     @pytest.mark.parametrize(
         "text, want",
         [
-            # a whole atom where a constant belongs
+            # an atom where a constant belongs
             ("quey(v2(e,s2)).", "line 1, column 8: expected ')' or ',', found '('"),
             ("query(a).", ProblogProgram(queries=(Query(Atom("a")),))),
             ("evidence(a,true).", ProblogProgram(evidence=(Evidence(Atom("a"), True),))),
@@ -364,12 +370,112 @@ class TestWholeAtomTokens:
         assert _parsed(text) == want
 
     def test_mutated_programs_match_the_token_by_token_walk(self):
-        checked = 0
+        checked = scanned = 0
         for rng, _, text in _generated_texts(500, 9292):
-            # a variable named like a keyword reaches the paths a whole atom skips
-            keyword = ("query", "evidence", "not")[int(rng.integers(3))]
-            for source in (text, re.sub(r"\bv0\(", keyword + "(", text)):
+            for source in (text, _respelled(rng, _respelled(rng, text))):
                 for mutated in [source] + [_mutated(rng, source) for _ in range(3)]:
                     assert _parsed(mutated) == _walked(mutated), mutated
+                    scanned += parser._scan(mutated) is not None
                     checked += 1
-        assert checked >= 3000
+        # both readers are exercised: the 500 written texts and some respelled
+        # ones take the scan, the rest the walk
+        assert checked >= 4000 and 500 < scanned < checked - 2000, (checked, scanned)
+
+
+# quoted constants that hold a statement's own separators
+_TRICKY_CONSTANTS = ["'a; b'", "'a, b'", "'p::q'", "'a :- b'", "'x. y'", "'50%'", "'; 0.5::s1'", "'not s1'", "'s1'"]
+
+
+def _respelled(rng, text: str) -> str:
+    """``text`` with one spelling changed: a state quoted or replaced by a
+    quoted constant holding separators, probabilities written as integers,
+    with a leading zero or dropped, separators unspaced, or a predicate named
+    ``query``, ``evidence`` or ``not``."""
+
+    kind = int(rng.integers(8))
+    if kind == 0:
+        constant = _TRICKY_CONSTANTS[int(rng.integers(len(_TRICKY_CONSTANTS)))]
+        return re.sub(r"\bs1\)", constant + ")", text)
+    if kind == 1:
+        return re.sub(r"\be\b", "'e'", text, count=int(rng.integers(1, 4)))
+    if kind == 2:
+        spellings = ("1::", "0::", "0{}::", "")
+        return re.sub(
+            r"(\d+\.\d+)::",
+            lambda m: spellings[int(rng.integers(4))].format(m[1]) if rng.random() < 0.3 else m[0],
+            text,
+        )
+    if kind == 3:
+        return text.replace("; ", ";")
+    if kind == 4:
+        return text.replace(", ", ",").replace(" :- ", ":-")
+    if kind == 5:
+        keyword = ("query", "evidence", "not")[int(rng.integers(3))]
+        return re.sub(r"\bv0\(", keyword + "(", text)
+    if kind == 6:
+        return re.sub(r"\bv1\b", "not", text)
+    return text.replace(", true)", ",true)")
+
+
+def _nodes(program: ProblogProgram) -> tuple[list[Atom], list[Literal]]:
+    atoms = [h.atom for c in program.clauses for h in c.heads]
+    atoms += [lit.atom for c in program.clauses for lit in c.body]
+    atoms += [e.atom for e in program.evidence] + [q.atom for q in program.queries]
+    return atoms, [lit for c in program.clauses for lit in c.body]
+
+
+def _assert_shared(program: ProblogProgram) -> None:
+    """Equal atoms are one object, and so are equal signed literals."""
+
+    atoms, literals = _nodes(program)
+    for nodes in (atoms, literals):
+        first: dict[object, object] = {}
+        for node in nodes:
+            assert first.setdefault(node, node) is node, node
+
+
+class TestStatementScan:
+    """Canonical text is read by the statement scan, not the walk."""
+
+    def test_written_programs_never_reach_the_walk(self, monkeypatch, gallstone_program):
+        monkeypatch.setattr(parser, "_tokenize", lambda text: pytest.fail(f"walked: {text!r}"))
+        assert parse(serialize(gallstone_program)) == gallstone_program
+        for _, program, text in _generated_texts(500, 9393):
+            assert parse(text) == program
+
+    def test_the_scan_gives_up_in_one_pass(self):
+        # a comment after a long run of layout: the scan tries one start
+        # there and gives up, it does not search on from every later one
+        text = "a." + " " * 20000 + "% note\n" + "0.5::b :- a.\n" * 2
+        start = time.perf_counter()
+        assert parse(text) == _walked(text)
+        assert time.perf_counter() - start < 1.0
+
+    # both spellings of a(x,y) and of a(x,z), in heads, bodies, evidence and
+    # the query, negated and not
+    SHARED = (
+        "0.5::a(x,'y'); 0.5::a(x,z).\n\n"
+        "0.25::b :- a(x,y), not a(x,'z').\n\n"
+        "0.75::b :- not a(x,'y'), a(x,z).\n\n"
+        "c :- not a(x,y), a(x,'z').\n\n"
+        "evidence(a(x,'y'), true).\n\n"
+        "query(a(x,z)).\n\n"
+        "query(a(x,'z')).\n"
+    )
+
+    @pytest.mark.parametrize("layout", ["", "% walked\n"])
+    def test_equal_nodes_are_one_object_whatever_the_spelling(self, layout):
+        text = layout + self.SHARED
+        assert (parser._scan(text) is None) == bool(layout)
+        program = parse(text)
+        assert program == _walked(text)
+        atoms, literals = _nodes(program)
+        assert len(set(atoms)) == 4 and len(set(literals)) == 4
+        _assert_shared(program)
+
+    def test_generated_programs_share_their_nodes(self):
+        for rng, _, text in _generated_texts(200, 9494):
+            for source in (text, _respelled(rng, text), "% walked\n" + text):
+                program = _parsed(source)
+                if not isinstance(program, str):
+                    _assert_shared(program)
