@@ -15,15 +15,14 @@ define variables, bodies define parents in first-named order, and each
 variable's bodies must partition its parent assignment grid (no overlap, no
 gap; the first bad cell in row-major order is reported). The decoder works on
 numbers: each head atom becomes a (variable, state) pair of indices, and each
-body literal a (parent, mask of allowed state indices) pair. Each atom and
-literal object is resolved once, by identity, which the parser's one object
-per atom makes the usual case, and by equality when it is new, as the fresh
-objects of :func:`bn_to_problog` are. When a variable's bodies are exactly the
-cells of its parent grid, one state per parent in the first body's order, as
-an encoded network's are, they are looked up as the grid's keys; otherwise
-each body's cells are listed as tuples of state indices, after counting them
-against ``MAX_FACTOR_ENTRIES``, and the grid is walked in row-major order up
-to its first bad cell. The atom table returned maps each head atom to
+body literal a (parent, mask of allowed state indices) pair, each resolved
+once per distinct atom or literal in tables keyed by the nodes themselves.
+When a variable's bodies are exactly the cells of its parent grid, one state
+per parent in the first body's order, as an encoded network's are, they are
+looked up as the grid's keys; otherwise each body's cells are listed as ints
+(row-major offset and body position), after counting them against
+``MAX_FACTOR_ENTRIES``, and the sorted list is walked in row-major order up to
+its first bad cell. The atom table returned maps each head atom to
 ``(variable id, state)``, and evidence and queries resolve through it. A
 shared entity constant is stripped from atoms back into network metadata
 when every atom carries the same one.
@@ -91,15 +90,17 @@ def bn_to_problog(network: BayesianNetwork, entity: str | None = None) -> Problo
     """
 
     clauses: list[Clause] = []
+    literals: dict[str, dict[str, Literal]] = {}  # one per (variable, state), shared by every row
     for vid in topological_order(network):
         states = network.states(vid)
+        encoded = [atom_for(network, vid, s, entity) for s in states]
+        literals[vid] = {s: Literal(atom, negated=not positive) for s, (atom, positive) in zip(states, encoded)}
         if len(states) == 2:
             states = states[:1]  # the second state is the negated head atom
-        head_atoms = [atom_for(network, vid, s, entity)[0] for s in states]
+        head_atoms = [literals[vid][s].atom for s in states]
         cpt = network.cpts[vid]
         for key in assignment_grid(network, cpt.parents):
-            literals = [atom_for(network, parent, state, entity) for parent, state in zip(cpt.parents, key)]
-            body = tuple(Literal(atom, negated=not positive) for atom, positive in literals)
+            body = tuple([literals[parent][state] for parent, state in zip(cpt.parents, key)])
             heads = tuple(ProbHead(p, a) for p, a in zip(cpt.rows[key], head_atoms))
             clauses.append(Clause(heads=heads, body=body))
     return ProblogProgram(clauses=tuple(clauses))
@@ -184,31 +185,27 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
     names: list[list[str]] = [[] for _ in keys]
 
     # pass 2: heads. Each head atom is a (variable, state) pair of indices,
-    # found by equality in `heads` once per atom object and by identity in
-    # `seen` after that; the parser makes one object per atom
+    # defined by the first head that names it
     heads: dict[Atom, tuple[int, int]] = {}
-    seen: dict[int, tuple[int, int]] = {}
 
     def define(atom: Atom) -> tuple[int, int]:
         group = groups.get((atom.predicate, atom.args[:-1])) if atom.args else None
-        new = (len(names), 0) if group is None else (group, len(names[group]))
-        got = heads.setdefault(atom, new)
-        if got is new:
-            if group is None:
-                keys.append(atom)
-                names.append(list(BINARY_STATES))
-            else:
-                names[group].append(atom.args[-1])
-        seen[id(atom)] = got
+        if group is None:
+            got = heads[atom] = (len(names), 0)
+            keys.append(atom)
+            names.append(list(BINARY_STATES))
+        else:
+            got = heads[atom] = (group, len(names[group]))
+            names[group].append(atom.args[-1])
         return got
 
     clause_heads: list[tuple[int, tuple[float, ...] | dict[int, float]]] = []
     for clause in program.clauses:
-        var, _ = seen.get(id(clause.heads[0].atom)) or define(clause.heads[0].atom)
+        var, _ = heads.get(clause.heads[0].atom) or define(clause.heads[0].atom)
         if var < len(groups):
             dist: dict[int, float] = {}
             for h in clause.heads:
-                _, state = seen.get(id(h.atom)) or define(h.atom)
+                _, state = heads.get(h.atom) or define(h.atom)
                 if state in dist:
                     raise UnsupportedFragment(
                         f"duplicate head state {h.atom.args[-1]!r} in {format_atom(h.atom)}"
@@ -238,25 +235,23 @@ def compile_program(program: ProblogProgram, *, name: str = "program") -> Compil
     compiled = CompiledProgram(network=net, atoms={a: (vids[v], states[v][s]) for a, (v, s) in heads.items()})
 
     # pass 3: each body literal becomes (parent, mask of its allowed state
-    # indices); each literal object is resolved once
+    # indices), resolved once per distinct literal
     full = [(1 << len(s)) - 1 for s in states]
-    literals: dict[int, tuple[int, int]] = {}
+    literals: dict[Literal, tuple[int, int]] = {}
 
     def resolve(lit: Literal, clause_no: int) -> tuple[int, int]:
-        got = literals.get(id(lit))
-        if got is None:
-            resolved = seen.get(id(lit.atom)) or heads.get(lit.atom)
-            if resolved is None:
-                raise undefined_body_atom(lit.atom, clause_no, groups)
-            parent, state = resolved
-            got = literals[id(lit)] = (parent, full[parent] ^ (1 << state) if lit.negated else 1 << state)
+        resolved = heads.get(lit.atom)
+        if resolved is None:
+            raise undefined_body_atom(lit.atom, clause_no, groups)
+        parent, state = resolved
+        got = literals[lit] = (parent, full[parent] ^ (1 << state) if lit.negated else 1 << state)
         return got
 
     clause_rows: list[list[tuple[int, tuple[tuple[int, int], ...], tuple[float, ...]]]] = [[] for _ in keys]
     for ci, (clause, (var, dist)) in enumerate(zip(program.clauses, clause_heads)):
-        body = tuple(map(literals.get, map(id, clause.body)))
+        body = tuple(map(literals.get, clause.body))
         if None in body:
-            body = tuple([resolve(lit, ci + 1) for lit in clause.body])
+            body = tuple([literals.get(lit) or resolve(lit, ci + 1) for lit in clause.body])
         if isinstance(dist, dict):
             row = [0.0] * len(states[var])
             for state, p in dist.items():
@@ -337,7 +332,9 @@ def _count_cover(
     ``clause_rows`` of the one clause whose body covers it; raises for the
     first cell that no clause or several clauses cover.
 
-    A cell is a tuple of state indices. The bodies' cells are counted before
+    Each cell a body covers is listed as one int, its row-major offset times
+    the number of bodies plus the body's position, so that sorting the list
+    orders it by cell and then by body. The bodies' cells are counted before
     any is listed, and more than :data:`~bayesqa.inference.MAX_FACTOR_ENTRIES`
     are refused: no engine holds a table that large. The walk stops at the
     first bad cell, so it visits at most one more cell than the bodies
@@ -350,29 +347,37 @@ def _count_cover(
             masks[p] = masks[p] & mask if p in masks else mask
         allowed.append(masks)
     parents = tuple(dict.fromkeys(p for masks in allowed for p in masks))
-    axes = [range(len(states[p])) for p in parents]
-    # a parent the body does not name keeps every state (mask -1)
-    spans = [[[i for i in axis if masks.get(p, -1) >> i & 1] for p, axis in zip(parents, axes)] for masks in allowed]
-    listed = sum(math.prod(map(len, body)) for body in spans)
+    sizes = [len(states[p]) for p in parents]
+    bodies = len(clause_rows)
+    strides = [bodies * math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+    # per body and parent, what each allowed state adds to a cell's code; a
+    # parent the body does not name keeps every state (mask -1)
+    steps = [
+        [[i * stride for i in range(n) if masks.get(p, -1) >> i & 1] for p, n, stride in zip(parents, sizes, strides)]
+        for masks in allowed
+    ]
+    listed = sum(math.prod(map(len, body)) for body in steps)
     if listed > MAX_FACTOR_ENTRIES:
         raise UnsupportedFragment(
             f"{vids[var]}: clause bodies cover {listed} parent assignments, more than the bound of {MAX_FACTOR_ENTRIES}"
         )
-    cover: dict[tuple[int, ...], list[int]] = {}
-    for k, body in enumerate(spans):
-        for cell in itertools.product(*body):
-            cover.setdefault(cell, []).append(k)
-    owner: list[int] = []
-    for cell in itertools.product(*axes):
-        hits = cover.get(cell, ())
-        if len(hits) != 1:
-            label = _row_label([vids[p] for p in parents], tuple(states[p][i] for p, i in zip(parents, cell)))
-            if not hits:
-                raise UnsupportedFragment(f"{vids[var]}: no clause covers parent assignment {label}")
-            which = " and ".join(f"clause {clause_rows[k][0] + 1}" for k in hits)
-            raise UnsupportedFragment(f"{vids[var]}: {which} overlap on parent assignment {label}")
-        owner.append(hits[0])
-    return parents, owner
+    codes: list[int] = []
+    for k, body in enumerate(steps):
+        codes += map(sum, itertools.product([k], *body))
+    codes.sort()
+    # each cell before the first bad one holds one position, its own offset
+    j = next((j for j, code in enumerate(codes) if code // bodies != j), len(codes))
+    if j == len(codes) == math.prod(sizes):
+        return parents, [code % bodies for code in codes]
+    # codes[j] is cell j - 1 again (an overlap) or a cell after j (a gap)
+    bad = min(j, codes[j] // bodies) if j < len(codes) else j
+    hits = [code % bodies for code in codes[bad : bad + bodies] if code // bodies == bad]
+    cell = tuple(states[p][bad * bodies // stride % n] for p, stride, n in zip(parents, strides, sizes))
+    label = _row_label([vids[p] for p in parents], cell)
+    if not hits:
+        raise UnsupportedFragment(f"{vids[var]}: no clause covers parent assignment {label}")
+    which = " and ".join(f"clause {clause_rows[k][0] + 1}" for k in hits)
+    raise UnsupportedFragment(f"{vids[var]}: {which} overlap on parent assignment {label}")
 
 
 def problog_to_bn(program: ProblogProgram, *, name: str = "program") -> BayesianNetwork:

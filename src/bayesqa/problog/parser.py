@@ -48,11 +48,6 @@ punctuation is its own kind). Tokens carry no position: an error recomputes
 its token's character offset from a fresh split and resolves it to ``line
 L, column C`` (both from 1, the column counting characters after the last
 newline).
-
-Either way, one parse builds one :class:`Atom` per ``(predicate, *args)``,
-whatever its spelling (``a(x,'y')`` and ``a(x,y)``), and one
-:class:`Literal` per signed atom, so equal nodes of a program are the same
-object.
 """
 
 from __future__ import annotations
@@ -122,53 +117,28 @@ def _offset(text: str, k: int) -> int:
     return len(text)  # the end-of-input token
 
 
-class _Nodes:
-    """The nodes of one parse: one :class:`Atom` per ``(predicate, *args)`` and
-    one :class:`Literal` per signed atom, so equal nodes are one object."""
-
-    def __init__(self) -> None:
-        self.atoms: dict[tuple[str, ...], Atom] = {}
-        self.literals: dict[tuple[Atom, bool], Literal] = {}
-
-    def intern(self, name: str, args: list[str]) -> Atom:
-        key = (name, *args)
-        atom = self.atoms.get(key)
-        if atom is None:
-            atom = self.atoms[key] = Atom(predicate=name, args=tuple(args))
-        return atom
-
-    def literal(self, atom: Atom, negated: bool) -> Literal:
-        literal = self.literals.get((atom, negated))
-        if literal is None:
-            literal = self.literals[atom, negated] = Literal(atom=atom, negated=negated)
-        return literal
-
-
 def _scan(text: str) -> ProblogProgram | None:
     """The program of a text of canonical statements, or ``None`` where the
     text is not one or a probability is above 1: the walk then reads it, or
     words its refusal."""
 
-    nodes = _Nodes()
-    # the node of each spelling; atom() and literal() read a new spelling and
-    # intern its node by what it names
+    # the node of each spelling; atom() and literal() build a new spelling's
     atoms: dict[str, Atom] = {}
     literals: dict[str, Literal] = {}
 
     def atom(spelling: str) -> Atom:
         name, _, args = spelling.partition("(")
         if "'" in args:
-            got = nodes.intern(name, [ident or quoted for ident, quoted in _ARGUMENT.findall(args)])
+            got = Atom(name, tuple([ident or quoted for ident, quoted in _ARGUMENT.findall(args)]))
         else:
-            got = nodes.intern(name, args[:-1].split(",") if args else [])
+            got = Atom(name, tuple(args[:-1].split(",")) if args else ())
         atoms[spelling] = got
         return got
 
     def literal(spelling: str) -> Literal:
         negated = spelling.startswith("not ")
         inner = spelling[4:] if negated else spelling
-        got = nodes.literal(atoms.get(inner) or atom(inner), negated)
-        literals[spelling] = got
+        got = literals[spelling] = Literal(atoms.get(inner) or atom(inner), negated)
         return got
 
     clauses: list[Clause] = []
@@ -201,9 +171,8 @@ def _scan(text: str) -> ProblogProgram | None:
     return ProblogProgram(tuple(clauses), tuple(evidence), tuple(queries))
 
 
-class _Parser(_Nodes):
+class _Parser:
     def __init__(self, text: str, tokens: list[str]):
-        super().__init__()
         self.text = text
         self.tokens = tokens
 
@@ -258,7 +227,7 @@ class _Parser(_Nodes):
             while sep == ",":
                 negated = tokens[i + 1] == "not" and "a" <= tokens[i + 2] < "{"
                 atom, i = self.atom(i + 1 + negated)
-                body.append(self.literal(atom, negated))
+                body.append(Literal(atom=atom, negated=negated))
                 sep = tokens[i]
         return Clause(heads=tuple(heads), body=tuple(body)), self.expect(i, ".", "'.' at end of statement")
 
@@ -298,7 +267,7 @@ class _Parser(_Nodes):
                 sep = tokens[i]
             if sep != ")":
                 raise self.fail(i, "')' or ','")
-        return self.intern(name, args), i + 1
+        return Atom(predicate=name, args=tuple(args)), i + 1
 
 
 def parse(text: str) -> ProblogProgram:

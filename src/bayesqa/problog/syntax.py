@@ -39,10 +39,22 @@ QUOTED = r"'[^'\n]*'"
 BARE_CONSTANT = re.compile(IDENT + r"\Z")
 
 
+# Atom and Literal hash once, when built, to the dataclass's own value (the
+# hash of their field tuple); a pickled node is rebuilt through its
+# constructor, so it hashes afresh under another PYTHONHASHSEED
 @dataclass(frozen=True)
 class Atom:
     predicate: str
     args: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.predicate, self.args)
 
     def __str__(self) -> str:
         return format_atom(self)
@@ -52,6 +64,15 @@ class Atom:
 class Literal:
     atom: Atom
     negated: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.atom, self.negated)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.atom, self.negated)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,17 @@ from bayesqa.problog.convert import (
     compile_program,
     undefined_body_atom,
 )
-from bayesqa.problog.syntax import Clause, Literal, ProbHead, ProblogProgram, format_atom, validate_program
+from bayesqa.problog.syntax import (
+    IDENT,
+    Clause,
+    Evidence,
+    Literal,
+    ProbHead,
+    ProblogProgram,
+    Query,
+    format_atom,
+    validate_program,
+)
 from conftest import GALLSTONE_TEXT
 from test_problog_parser import _generated_texts, _mutated
 
@@ -407,6 +417,17 @@ class TestParentGrid:
         ):
             problog_to_bn(parse(self._one_body_on_p0(14)))
 
+    def test_an_overlap_on_half_a_large_grid_names_its_cell_quickly(self):
+        # 2**19 + 1 cells are listed, one int each
+        label = ", ".join(f"p{i}=true" for i in range(20))
+        text = self._one_body_on_p0(20)
+        start = time.perf_counter()
+        with pytest.raises(
+            UnsupportedFragment, match=rf"^y: clause 21 and clause 22 overlap on parent assignment \({label}\)$"
+        ):
+            problog_to_bn(parse(text))
+        assert time.perf_counter() - start < 2.0
+
     def test_cells_beyond_the_table_bound_are_refused_before_listing(self):
         # 2**29 + 1 cells: listing them would take tens of minutes
         text = self._one_body_on_p0(30)
@@ -569,6 +590,34 @@ def _outcome(compile_, program: ProblogProgram) -> tuple:
     return "ok", net.name, net.entity, variables, cpts, list(atoms.items())
 
 
+def _fresh(program: ProblogProgram) -> ProblogProgram:
+    """``program`` with a new atom object, and a new literal object, for each
+    occurrence."""
+
+    def atom(a: Atom) -> Atom:
+        return Atom(a.predicate, tuple(list(a.args)))
+
+    clauses = [
+        Clause(tuple([ProbHead(h.probability, atom(h.atom)) for h in c.heads]),
+               tuple([Literal(atom(lit.atom), lit.negated) for lit in c.body]))
+        for c in program.clauses
+    ]
+    evidence = [Evidence(atom(e.atom), e.value) for e in program.evidence]
+    return ProblogProgram(tuple(clauses), tuple(evidence), tuple([Query(atom(q.atom)) for q in program.queries]))
+
+
+# a bare constant argument of an atom: after '(' or ',', before ',' or ')',
+# outside quotes, and not the atom of a statement's evidence or query
+_BARE_ARGUMENT = re.compile(rf"('[^'\n]*')|(?<!^evidence)(?<!^query)([(,])({IDENT})(?=[,)])", re.M)
+
+
+def _requoted(text: str) -> str:
+    """Canonical ``text`` with every bare constant argument quoted: ``a(x,y)``
+    becomes ``a('x','y')``; evidence's ``true`` and ``false`` stay bare."""
+
+    return _BARE_ARGUMENT.sub(lambda m: m[1] or f"{m[2]}'{m[3]}'", text)
+
+
 def _compiled(program: ProblogProgram) -> tuple[BayesianNetwork, dict[Atom, tuple[str, str]]]:
     compiled = compile_program(program)
     return compiled.network, compiled.atoms
@@ -614,19 +663,32 @@ class TestIndexedDecoder:
         assert all(outcomes[w] >= 20 for w in self.FRAGMENT_REFUSALS), outcomes
 
     def test_equal_atoms_that_are_not_one_object_resolve_alike(self, gallstone_net):
-        # bn_to_problog builds a fresh atom for every body literal, where
-        # parse makes one object per text
+        # the atoms bn_to_problog builds and those parse builds from its text
+        # are different objects
         rng = np.random.default_rng(31)
         nets = [gallstone_net] + [netgen.random_network(rng, name=f"eq{i}") for i in range(40)]
         for net in nets:
             built = bn_to_problog(net)
             parsed = parse(serialize(built))
-            body = [lit.atom for c in built.clauses for lit in c.body]
-            assert len({id(a) for a in body}) == len(body)
-            assert not {id(a) for a in body} & {id(h.atom) for c in built.clauses for h in c.heads}
             want = _outcome(_compiled, parsed)
             assert want[0] == "ok"
             assert _outcome(_compiled, built) == want == _outcome(_reference_compile, built)
+
+    def test_fresh_and_requoted_nodes_compile_alike(self):
+        # a node is a value: the program rebuilt with a fresh node for every
+        # occurrence, and its text with every bare constant quoted, compile
+        # to what the program compiles to, network, atom table or refusal
+        outcomes = Counter()
+        for rng, _, text in _generated_texts(200, 9494):
+            program = parse(text)
+            for variant in (program, TestValidateIsTheOracle._mutate(rng, program)):
+                requoted = parse(_requoted(serialize(variant)))
+                assert requoted == variant
+                want = _outcome(_reference_compile, variant)
+                for got in (variant, _fresh(variant), requoted):
+                    assert _outcome(_compiled, got) == want, serialize(variant)
+                outcomes[want[0]] += 1
+        assert outcomes["ok"] >= 100 and outcomes["UnsupportedFragment"] >= 20, outcomes
 
     def test_one_literal_object_in_two_clauses_and_an_equal_one_in_a_third(self):
         c, x = Atom("c", ("e",)), Atom("x", ("e",))

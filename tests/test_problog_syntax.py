@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bayesqa
 from bayesqa.errors import UnrepresentableName
 from bayesqa.problog import (
     Atom,
@@ -54,6 +59,52 @@ class TestAstInvariants:
             heads=(ProbHead(0.5, Atom("x", ("e", "a"))), ProbHead(0.5, Atom("x", ("e", "b"))))
         )
         assert validate_program(ProblogProgram(clauses=(ok,))) == []
+
+
+class TestNodeHash:
+    """An atom and a literal hash once, when built, to the value the
+    dataclass itself would give: the hash of the tuple of their fields."""
+
+    NODES = [Atom("p"), Atom("p", ("x",)), Atom("amylase", ("patient", "500-1400"))]
+
+    def test_hashes_are_those_of_the_field_tuples(self):
+        for atom in self.NODES:
+            assert hash(atom) == hash((atom.predicate, atom.args))
+            for negated in (False, True):
+                assert hash(Literal(atom, negated)) == hash((atom, negated))
+
+    def test_a_pickled_node_hashes_afresh_under_another_hash_seed(self, tmp_path):
+        # the stored hash of a str-holding node differs between hash seeds, so
+        # a loaded node must not keep the one it was pickled with
+        path = tmp_path / "node.pickle"
+        write = (
+            "import pickle, sys\n"
+            "from bayesqa.problog import Atom, Literal\n"
+            "node = Literal(Atom('amylase', ('patient', '500-1400')), True)\n"
+            "with open(sys.argv[1], 'wb') as f: pickle.dump((node, node.atom), f)\n"
+            "print(hash(node), hash(node.atom))\n"
+        )
+        read = (
+            "import pickle, sys\n"
+            "from bayesqa.problog import Atom, Literal\n"
+            "with open(sys.argv[1], 'rb') as f: literal, atom = pickle.load(f)\n"
+            "fresh = Literal(Atom('amylase', ('patient', '500-1400')), True)\n"
+            "assert literal == fresh and hash(literal) == hash(fresh) and hash(atom) == hash(fresh.atom)\n"
+            "assert {fresh: 1}.get(literal) == 1 and {fresh.atom: 1}.get(atom) == 1\n"
+            "assert {literal: 1}.get(fresh) == 1 and {atom: 1}.get(fresh.atom) == 1\n"
+            "print(hash(literal), hash(atom))\n"
+        )
+        src = str(Path(bayesqa.__file__).resolve().parents[1])
+        hashes = []
+        for seed, script in (("1", write), ("2", read)):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, check=False
+            )
+            assert done.returncode == 0, done.stderr
+            hashes.append(done.stdout.split())
+        written, read_back = hashes
+        assert written[0] != read_back[0] and written[1] != read_back[1]
 
 
 class TestProbabilityFormat:
