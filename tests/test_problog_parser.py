@@ -455,7 +455,7 @@ class TestStatementScan:
         "query(a(x,'z')).\n"
     )
 
-    @pytest.mark.parametrize("layout", ["", "% walked\n"])
+    @pytest.mark.parametrize("layout", ["", pytest.param("% walked\n", id="walk")])
     def test_equal_nodes_are_equal_whatever_the_spelling(self, layout):
         text = layout + self.SHARED
         assert (parser._scan(text) is None) == bool(layout)
