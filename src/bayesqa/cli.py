@@ -86,6 +86,12 @@ def _probability(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a probability in [0, 1], got {text!r}")
 
 
+def _name(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("expected a non-empty name")
+    return text
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -184,6 +190,9 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
             raise NetworkFormatError(
                 f"network name {net.name!r} is used by both {seen[net.name]} and {path}"
             )
+        if {"/", os.sep, "\0"} & set(net.name):
+            # a program file's path would leave --out, or name no file at all
+            raise NetworkFormatError(f"{path}: network name {net.name!r} holds a path separator or NUL")
         seen[net.name] = path
     # generate and encode (refusing an unwritable name) everything before
     # touching --out, so a failure leaves no files
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("from-problog", "decode a program into a network file")
     p.add_argument("program")
-    p.add_argument("--name", default="program")
+    p.add_argument("--name", type=_name, default="program")
     p.add_argument("-o", "--out", default=None)
 
     p = add("subset", "extract a subnetwork, marginalizing removed variables")

@@ -15,9 +15,9 @@ Two independent engines answer the same questions:
   with lexicographic tie-breaking. The whole order is worked out on the moral
   graph first, and a query whose largest table would exceed
   :data:`MAX_FACTOR_ENTRIES` is refused before any table is made. A table's
-  axes are in memory order, not sorted: a CPT is a view of its compiled
-  table, a product keeps its larger operand's layout and puts the other's
-  extra variables in front of it, and a sum adds its slabs in state order.
+  axes are in memory order, not sorted: a CPT is its compiled table, a
+  product keeps its larger operand's layout and puts the other's extra
+  variables in front of it, and a sum adds its slabs in state order.
   A layout only decides where an entry is stored: the floats multiplied, and
   the state order of every sum, do not depend on it. :func:`masked_posterior`
   returns the unnormalized vector; :func:`posterior` and :func:`eliminate`
@@ -32,8 +32,10 @@ needs.
 :func:`compile_network` returns the compiled network. The network keeps it
 and every call reuses it while the network holds the same Variable and CPT
 objects, so the engines compile a network once however many queries it is
-asked. The elimination factors and the moral graph are built on the first
-elimination, so an enumeration sweep never pays for them. Each query
+asked. It holds one table per CPT, with the CPT's parents and then its
+variable as axes, which both engines read: the sweep in topological order,
+elimination in declaration order. The moral graph is built on the first
+elimination, so an enumeration sweep never pays for it. Each query
 variable's plan (the order, its largest table and each bucket's members) is
 worked out on its first query and kept, since masks are unary and the plan
 does not depend on evidence; every later query on it builds its masks,
@@ -42,7 +44,6 @@ multiplies and sums.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ from .errors import (
     UnknownVariable,
     ZeroProbabilityEvidence,
 )
-from .model import BayesianNetwork, state_index, topological_order
+from .model import BayesianNetwork, assignment_grid, state_index, topological_order
 
 NEGATIVE_NOISE_FLOOR = -1e-12
 
@@ -92,46 +93,34 @@ class CompiledNetwork:
     (:func:`compile_network`) with no reference cycle;
     ``CompiledNetwork(network)`` compiles afresh.
 
-    ``tables[i]`` is the CPT of ``order[i]`` (topological) as a read-only 2-D
-    float array, one row per parent assignment in :func:`parent_assignments`
-    order and one column per state; ``strides[i]`` maps parent states to a
-    row. ``source`` holds the names, Variables and CPTs it was compiled
-    from. Nothing here changes once built, except that the
-    elimination factors, the moral graph and each query variable's plan are
-    built on first use and kept.
+    Each CPT is one read-only factor: one axis per parent, in parent order,
+    then one for the variable, filled in :func:`model.assignment_grid` order.
+    ``factors`` holds them in declaration order, which is the order
+    elimination fills its buckets in; ``chain`` holds the same objects in
+    topological order (``order``), which is the order the sweep multiplies
+    them in. ``source`` holds the names, Variables and CPTs it was compiled
+    from. Nothing here changes once built, except that the moral graph and
+    each query variable's plan are built on first use and kept.
     """
 
-    __slots__ = (
-        "source", "order", "pos", "card", "parent_pos", "strides", "tables", "_factors", "_moral", "_plans",
-    )
+    __slots__ = ("source", "order", "pos", "card", "factors", "chain", "_moral", "_plans")
 
     def __init__(self, network: BayesianNetwork):
         self.source = _source(network)
         self.order: tuple[str, ...] = tuple(topological_order(network))
-        self.pos: dict[str, int] = {}
-        self.card: dict[str, int] = {}
-        self.parent_pos: list[tuple[int, ...]] = []
-        self.strides: list[tuple[int, ...]] = []
-        self.tables: list[np.ndarray] = []
-        states: dict[str, tuple[str, ...]] = {}
-        for i, v in enumerate(self.order):
+        self.pos: dict[str, int] = {v: i for i, v in enumerate(self.order)}
+        self.card: dict[str, int] = {v: len(network.states(v)) for v in network.variables}
+        by_name: dict[str, _Factor] = {}
+        for v in network.variables:
             cpt = network.cpts[v]
-            ps = cpt.parents
-            states[v] = network.states(v)
-            self.pos[v] = i
-            self.card[v] = len(states[v])
-            self.parent_pos.append(tuple([self.pos[p] for p in ps]))
-            # row-major strides, a running product from the last parent;
-            # parents precede v, so their card is already set
-            strides = [1] * len(ps)
-            for j in range(len(ps) - 1, 0, -1):
-                strides[j - 1] = strides[j] * self.card[ps[j]]
-            self.strides.append(tuple(strides))
+            scope = cpt.parents + (v,)
             rows = cpt.rows
-            table = np.array([rows[key] for key in itertools.product(*[states[p] for p in ps])])
-            table.setflags(write=False)  # the elimination factors are views of it
-            self.tables.append(table)
-        self._factors: tuple[_Factor, ...] | None = None
+            table = np.array([rows[key] for key in assignment_grid(network, cpt.parents)])
+            table = table.reshape([self.card[u] for u in scope])
+            table.setflags(write=False)  # both engines only read it
+            by_name[v] = _Factor(scope, table)
+        self.factors: tuple[_Factor, ...] = tuple(by_name.values())
+        self.chain: tuple[_Factor, ...] = tuple([by_name[v] for v in self.order])
         self._moral: dict[str, frozenset[str]] | None = None
         self._plans: dict[str, _Plan] = {}
 
@@ -142,29 +131,13 @@ class CompiledNetwork:
         now = _source(network)
         return len(now) == len(self.source) and all(map(operator.is_, now, self.source))
 
-    def factors(self) -> tuple[_Factor, ...]:
-        """One factor per CPT, in declaration order, built on first use: each
-        is the CPT's table reshaped to one axis per parent, in parent order,
-        and a last axis for the variable, so it shares the table's memory.
-        Elimination only reads them: every product and sum makes a new
-        table."""
-
-        if self._factors is None:
-            out = []
-            for v in self.source[: len(self.order)]:  # the names, in declaration order
-                i = self.pos[v]
-                scope = tuple([self.order[p] for p in self.parent_pos[i]]) + (v,)
-                out.append(_Factor(scope, self.tables[i].reshape([self.card[u] for u in scope])))
-            self._factors = tuple(out)
-        return self._factors
-
     def moral(self) -> dict[str, frozenset[str]]:
         """Each variable's neighbours in the moral graph (the union of the CPT
         scopes it shares); built on first use."""
 
         if self._moral is None:
             linked: dict[str, set[str]] = {v: set() for v in self.order}
-            for f in self.factors():
+            for f in self.factors:
                 for a in f.vars:
                     linked[a].update(f.vars)
             self._moral = {v: frozenset(n - {v}) for v, n in linked.items()}
@@ -201,7 +174,7 @@ class CompiledNetwork:
         # of its scope to be eliminated; what no bucket takes is left for
         # ``variable``. Taken in declaration and creation order, each bucket
         # lists them as a walk over one list of factors would meet them.
-        scopes = [f.vars for f in self.factors()]
+        scopes = [f.vars for f in self.factors]
         rank = {v: k for k, v in enumerate(order)}
         last = len(order)
         cpts: list[list[int]] = [[] for _ in range(last + 1)]
@@ -242,8 +215,8 @@ def compile_network(network: BayesianNetwork) -> CompiledNetwork:
 
     It is reused while the network holds the very names, Variables and CPTs,
     in the same order, that it was compiled from (an O(n) identity check), so
-    every engine call on one network shares one compile, its elimination
-    factors and its per-variable plans. Replacing, adding or deleting a
+    every engine call on one network shares one compile, its moral graph
+    and its per-variable plans. Replacing, adding or deleting a
     Variable or a CPT compiles anew.
     """
 
@@ -396,9 +369,9 @@ def _sweep(c: CompiledNetwork, allowed: _Indexed, targets: _Indexed) -> tuple[fl
         shape[a] = -1
         grid[i] = np.array(allowed_idx[i]).reshape(shape)
     p = np.ones([len(allowed_idx[i]) for i in free])  # 1.0 * x is x, bit for bit
-    for i, table in enumerate(c.tables):
-        row = sum(grid[q] * stride for q, stride in zip(c.parent_pos[i], c.strides[i]))
-        p *= table[row, grid[i]]
+    pos = c.pos
+    for f in c.chain:
+        p *= f.values[tuple([grid[pos[u]] for u in f.vars])]
 
     total = float(np.add.reduce(p, axis=None, initial=0.0))
     nums = []
@@ -517,7 +490,7 @@ def _masked(c: CompiledNetwork, variable: str, allowed: _Indexed) -> np.ndarray:
         mask[list(idx)] = 1.0
         masks[var] = _Factor((var,), mask)
 
-    factors = c.factors()
+    factors = c.factors
     results: list[_Factor | None] = []
 
     def gather(target: str, cpts: tuple[int, ...], earlier: tuple[int, ...]) -> list[_Factor]:

@@ -40,6 +40,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Iterable
 
+import numpy as np
+
 from ..errors import NetworkFormatError, UnknownClause, UnsupportedFragment
 from ..inference import MAX_FACTOR_ENTRIES, compile_network
 from ..model import (
@@ -334,9 +336,11 @@ def _count_cover(
 
     Each cell a body covers is listed as one int, its row-major offset times
     the number of bodies plus the body's position, so that sorting the list
-    orders it by cell and then by body. The bodies' cells are counted before
-    any is listed, and more than :data:`~bayesqa.inference.MAX_FACTOR_ENTRIES`
-    are refused: no engine holds a table that large. The walk stops at the
+    orders it by cell and then by body. The list is one preallocated int64
+    array (of Python ints when a code could pass int64's range). The bodies'
+    cells are counted before any is listed, and more than
+    :data:`~bayesqa.inference.MAX_FACTOR_ENTRIES` are refused: no engine
+    holds a table that large. The walk stops at the
     first bad cell, so it visits at most one more cell than the bodies
     cover."""
 
@@ -361,17 +365,20 @@ def _count_cover(
         raise UnsupportedFragment(
             f"{vids[var]}: clause bodies cover {listed} parent assignments, more than the bound of {MAX_FACTOR_ENTRIES}"
         )
-    codes: list[int] = []
-    for k, body in enumerate(steps):
-        codes += map(sum, itertools.product([k], *body))
+    codes = np.fromiter(
+        itertools.chain.from_iterable(map(sum, itertools.product([k], *body)) for k, body in enumerate(steps)),
+        np.int64 if math.prod(sizes) * bodies <= 2**63 else object,
+        count=listed,
+    )
     codes.sort()
     # each cell before the first bad one holds one position, its own offset
-    j = next((j for j, code in enumerate(codes) if code // bodies != j), len(codes))
-    if j == len(codes) == math.prod(sizes):
-        return parents, [code % bodies for code in codes]
+    wrong = codes // bodies != np.arange(listed)
+    j = int(wrong.argmax()) if wrong.any() else listed
+    if j == listed == math.prod(sizes):
+        return parents, (codes % bodies).tolist()
     # codes[j] is cell j - 1 again (an overlap) or a cell after j (a gap)
-    bad = min(j, codes[j] // bodies) if j < len(codes) else j
-    hits = [code % bodies for code in codes[bad : bad + bodies] if code // bodies == bad]
+    bad = min(j, int(codes[j]) // bodies) if j < listed else j
+    hits = [code % bodies for code in codes[bad : bad + bodies].tolist() if code // bodies == bad]
     cell = tuple(states[p][bad * bodies // stride % n] for p, stride, n in zip(parents, strides, sizes))
     label = _row_label([vids[p] for p in parents], cell)
     if not hits:

@@ -280,7 +280,9 @@ def parse(text: str) -> ProblogProgram:
 
 
 def parse_atom(text: str) -> Atom:
-    """Parse a single atom, e.g. a CLI query argument."""
+    """Parse text holding exactly one atom and nothing after it (no closing
+    period); raises :class:`ProblogSyntaxError` at the first token that
+    does not fit."""
 
     p = _Parser(text, _tokenize(text))
     atom, i = p.atom(0)

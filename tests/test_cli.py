@@ -515,6 +515,14 @@ class TestTranslation:
         assert net.name == "decoded"
         assert sorted(net.variables) == ["amylase", "flatulence", "gallstones"]
 
+    def test_from_problog_refuses_an_empty_name(self, capsys, tmp_path, program_file):
+        out_path = tmp_path / "net.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["from-problog", program_file, "--name", "", "-o", str(out_path)])
+        assert exc.value.code == 2
+        assert "--name: expected a non-empty name" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_syntax_error_exits_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.pl"
         bad.write_text("0.5:gallstones(patient).")
@@ -685,6 +693,19 @@ class TestGenDataset:
             assert err.startswith(f"error: NetworkFormatError: {message}"), err
             assert generated == names
         assert not Path(out).exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "nul\x00name"], ids=["parent", "subdir", "nul"])
+    def test_path_like_network_name_writes_nothing(self, capsys, tmp_path, name):
+        # refused with the repeated-name check, before gallstones' programs are written
+        bad = tmp_path / "bad.json"
+        doc = json.loads(Path(NET).read_text(encoding="utf-8"))
+        doc["name"] = name
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "gen-dataset", NET, str(bad), "--count", "3", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: NetworkFormatError: {bad}: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_generation_error_writes_nothing(self, capsys, tmp_path):
         one = tmp_path / "one.json"

@@ -278,26 +278,27 @@ class TestEliminationMemory:
 
 class TestLayouts:
     def test_factors_are_views_of_the_tables(self, gallstone_net):
+        # the sweep's factor and elimination's factor are one object per CPT
         rng = np.random.default_rng(31)
         for net in (gallstone_net, _chain(), *(netgen.random_network(rng, name=f"view{i}") for i in range(20))):
             compiled = compile_network(net)
-            for v, f in zip(net.variables, compiled.factors(), strict=True):
+            for v, f in zip(net.variables, compiled.factors, strict=True):
                 assert f.vars == net.cpts[v].parents + (v,)
-                assert np.shares_memory(f.values, compiled.tables[compiled.pos[v]])
+                assert compiled.chain[compiled.pos[v]] is f
+                assert not f.values.flags.writeable
 
     def test_strides_index_the_row_major_table(self, gallstone_net):
+        # each table holds cpt.rows[key][s] at (parent state indices..., s)
         rng = np.random.default_rng(32)
         for net in (gallstone_net, *(netgen.random_network(rng, name=f"rows{i}") for i in range(30))):
             compiled = CompiledNetwork(net)
-            for v, parent_pos, strides, table in zip(
-                compiled.order, compiled.parent_pos, compiled.strides, compiled.tables, strict=True
-            ):
+            for v, f in zip(compiled.order, compiled.chain, strict=True):
                 parents = net.cpts[v].parents
-                assert parent_pos == tuple(compiled.pos[p] for p in parents)
-                for k, key in enumerate(assignment_grid(net, parents)):
-                    at = sum(net.states(p).index(s) * stride for p, s, stride in zip(parents, key, strides, strict=True))
-                    assert at == k and tuple(table[k]) == net.cpts[v].rows[key]
-                assert table.shape == (k + 1, len(net.states(v)))
+                assert f.values.shape == tuple(len(net.states(u)) for u in (*parents, v))
+                for key in assignment_grid(net, parents):
+                    at = tuple(net.states(p).index(s) for p, s in zip(parents, key, strict=True))
+                    for s, want in enumerate(net.cpts[v].rows[key]):
+                        assert f.values[at + (s,)] == want
 
     @pytest.mark.parametrize("share", [1, 10**9], ids=["copied", "strided"])
     def test_extra_variables_go_in_front(self, monkeypatch, share):
@@ -323,7 +324,7 @@ class TestLayouts:
             for v in net.variables:
                 values = masked_posterior(net, v, {})
                 assert values.flags.writeable
-                assert not any(np.shares_memory(values, t) for t in compiled.tables)
+                assert not any(np.shares_memory(values, f.values) for f in compiled.factors)
 
     def test_cliff_answers_keep_their_bits(self):
         # float.hex of each cliff network's answer, whose 3**13-entry
@@ -804,7 +805,7 @@ class TestCompiledForm:
         assert compile_network(gallstone_net) is form
         fresh = CompiledNetwork(gallstone_net)
         assert form.moral() == fresh.moral()
-        for a, b in zip(form.factors(), fresh.factors(), strict=True):
+        for a, b in zip(form.factors, fresh.factors, strict=True):
             assert a.vars == b.vars and np.array_equal(a.values, b.values)
         assert eliminate(gallstone_net, "amylase", "500-1400", {"flatulence": "true"}) == first
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import re
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -401,6 +402,16 @@ class TestParentGrid:
         with pytest.raises(UnsupportedFragment, match=rf"^y: no clause covers parent assignment \({label}\)$"):
             problog_to_bn(parse(text))
 
+    def test_a_gap_past_int64_codes_is_named(self):
+        # 2**70 cells times two bodies: no cell's code fits an int64
+        parents = [f"p{i}" for i in range(70)]
+        text = "".join(f"0.5::{p}(e).\n" for p in parents) + "".join(
+            f"0.5::y(e) :- {', '.join(p + '(e)' for p in parents[:-1])}, {sign}p69(e).\n" for sign in ("", "not ")
+        )
+        label = ", ".join(f"{p}=true" for p in parents[:-2]) + ", p68=false, p69=true"
+        with pytest.raises(UnsupportedFragment, match=rf"^y: no clause covers parent assignment \({label}\)$"):
+            problog_to_bn(parse(text))
+
     @staticmethod
     def _one_body_on_p0(n: int) -> str:
         # y's bodies are p0 alone, which covers half of the 2**n grid, and
@@ -427,6 +438,18 @@ class TestParentGrid:
         ):
             problog_to_bn(parse(text))
         assert time.perf_counter() - start < 2.0
+
+    def test_listed_cells_cost_at_most_30_bytes_each(self):
+        # 2**17 + 1 cells are listed, one int64 each, plus the search for the first bad one
+        program = parse(self._one_body_on_p0(18))
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedFragment, match=r"^y: clause 19 and clause 20 overlap on parent assignment "):
+                problog_to_bn(program)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * (2**17 + 1)
 
     def test_cells_beyond_the_table_bound_are_refused_before_listing(self):
         # 2**29 + 1 cells: listing them would take tens of minutes
