@@ -29,7 +29,7 @@ from . import metrics as mt
 from . import netops
 from .errors import BayesqaError, NetworkFormatError
 from .inference import conditional_query, eliminate
-from .model import load_network, network_to_json, read_input, read_network, validate
+from .model import holds_path_separator, load_network, network_to_json, read_input, read_network, validate
 from .problog import (
     bn_to_problog,
     enumerate_worlds,
@@ -89,6 +89,8 @@ def _probability(text: str) -> float:
 def _name(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("expected a non-empty name")
+    if holds_path_separator(text):
+        raise argparse.ArgumentTypeError(f"name {text!r} holds a path separator or NUL")
     return text
 
 
@@ -190,9 +192,6 @@ def cmd_gen_dataset(args: argparse.Namespace) -> int:
             raise NetworkFormatError(
                 f"network name {net.name!r} is used by both {seen[net.name]} and {path}"
             )
-        if {"/", os.sep, "\0"} & set(net.name):
-            # a program file's path would leave --out, or name no file at all
-            raise NetworkFormatError(f"{path}: network name {net.name!r} holds a path separator or NUL")
         seen[net.name] = path
     # generate and encode (refusing an unwritable name) everything before
     # touching --out, so a failure leaves no files

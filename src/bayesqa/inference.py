@@ -19,7 +19,13 @@ Two independent engines answer the same questions:
   product keeps its larger operand's layout and puts the other's extra
   variables in front of it, and a sum adds its slabs in state order.
   A layout only decides where an entry is stored: the floats multiplied, and
-  the state order of every sum, do not depend on it. :func:`masked_posterior`
+  the state order of every sum, do not depend on it. A product or sum whose
+  result holds at least ``_SPLIT_ENTRIES`` entries is filled in contiguous
+  runs of its cells, one per usable CPU, at the same time: the calling
+  thread fills one run and a pool of threads, started on first use, the
+  others. Each entry is still the same one product, or +0.0 plus the same
+  slabs in state order, so no bit moves. With one usable CPU no thread is
+  started, and a forked child makes its own pool. :func:`masked_posterior`
   returns the unnormalized vector; :func:`posterior` and :func:`eliminate`
   normalize it.
 
@@ -46,8 +52,11 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import queue
+import threading
 from dataclasses import dataclass
-from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -403,6 +412,103 @@ class _Factor:
 # large next to the product it feeds
 _COPY_SHARE = 8
 
+# a table of at most this many entries is summed by one ufunc call, which is
+# faster there than a call per slab and slower on large tables
+_REDUCE_ENTRIES = 256
+
+# a product or sum whose result holds at least this many entries is filled in
+# runs of its cells, one run per usable CPU at the same time (_in_runs); below
+# it, waking a thread costs more than it saves
+_SPLIT_ENTRIES = 3**11
+
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # a platform with no CPU affinity
+    _CPUS = os.cpu_count() or 1
+
+# the queue of the pool's _CPUS - 1 threads and the process that started
+# them: a forked child has none of its parent's threads, so it starts its own.
+# Two threads that race to start a pool each start one, and either one works
+_pool: tuple[int, queue.SimpleQueue] | None = None
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """A pool thread: call each task's ``fill(*args)``, keep what it raised in
+    the task's ``errors`` and then release its ``done`` lock."""
+
+    while True:
+        fill, args, done, errors = tasks.get()
+        try:
+            fill(*args)
+        except Exception as exc:  # raised again by the caller
+            errors.append(exc)
+        finally:
+            # hold no table while waiting for the next task, so that it is freed
+            del fill, args, errors
+            done.release()
+
+
+def _in_runs(fill: Callable[..., None], out: np.ndarray, *operands: object) -> np.ndarray:
+    """``out``, filled by ``fill(cells, out, *operands)`` on one run of its
+    cells per usable CPU, at the same time.
+
+    A cell indexes the leading axes of ``out``, taken deep enough for 4 cells
+    per CPU, so that no run is more than a cell longer than another; a run is
+    contiguous in memory. The calling thread fills the first run and the
+    pool's threads the others; it returns once every run is filled, and
+    raises what a pool thread's ``fill`` raised.
+    """
+
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        tasks: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(_CPUS - 1):
+            threading.Thread(target=_serve, args=(tasks,), name="bayesqa-eliminate", daemon=True).start()
+        _pool = (os.getpid(), tasks)
+    depth, count = 0, 1
+    while count < 4 * _CPUS and depth < out.ndim:
+        count *= out.shape[depth]
+        depth += 1
+    cells = list(np.ndindex(*out.shape[:depth]))
+    bounds = [count * k // _CPUS for k in range(_CPUS + 1)]
+    waits, errors = [], []
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        done = threading.Lock()
+        done.acquire()
+        _pool[1].put((fill, (cells[lo:hi], out, *operands), done, errors))
+        waits.append(done)
+    fill(cells[: bounds[1]], out, *operands)
+    for done in waits:
+        done.acquire()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _product_cells(cells: list[tuple[int, ...]], out: np.ndarray, av: np.ndarray, bv: np.ndarray) -> None:
+    """Fill ``cells`` of ``out`` with ``av * bv``, both of ``out``'s number
+    of axes; an operand's axis of size 1 broadcasts, so every cell reads it
+    at 0."""
+
+    for cell in cells:
+        at_a = tuple([i if n > 1 else 0 for i, n in zip(cell, av.shape)])
+        at_b = tuple([i if n > 1 else 0 for i, n in zip(cell, bv.shape)])
+        np.multiply(av[at_a + (...,)], bv[at_b + (...,)], out=out[cell + (...,)])
+
+
+def _sum_cells(cells: list[tuple[int, ...]], out: np.ndarray, values: np.ndarray, axis: int) -> None:
+    """Fill ``cells`` of ``out`` with ``values`` summed over ``axis`` as
+    :func:`_sum_out` sums it: +0.0 plus the slabs in state order."""
+
+    for cell in cells:
+        # the slab of state s is values[head + (s,) + tail]
+        head = cell[:axis] + (slice(None),) * (axis - len(cell))
+        tail = cell[axis:] + (...,)
+        part = out[cell + (...,)]
+        np.add(values[head + (0,) + tail], 0.0, out=part)
+        for s in range(1, values.shape[axis]):
+            part += values[head + (s,) + tail]
+
 
 def _multiply(a: _Factor, b: _Factor, card: Mapping[str, int]) -> _Factor:
     """The product of two factors, on the union of their scopes.
@@ -410,26 +516,26 @@ def _multiply(a: _Factor, b: _Factor, card: Mapping[str, int]) -> _Factor:
     The larger operand keeps its layout and is not copied: the product's axes
     are the smaller operand's other variables, in its order, then the larger
     operand's, which numpy broadcasts over. Each entry is the same one float
-    product in any layout.
+    product in any layout, and however the product is split into runs.
     """
 
-    if a.values.size < b.values.size:
-        a, b = b, a
+    na, nb = a.values.size, b.values.size
+    if na < nb:
+        a, b, na, nb = b, a, nb, na
     extra = tuple([v for v in b.vars if v not in a.vars])
     shared = tuple([v for v in a.vars if v in b.vars])  # b's axes met in a, in a's order
     scope, own = extra + a.vars, extra + shared
     bv = b.values
     if own != b.vars:
         bv = bv.transpose([b.vars.index(v) for v in own])
-        if b.values.size * _COPY_SHARE <= a.values.size * math.prod([card[v] for v in extra]):
+        if nb * _COPY_SHARE <= na * math.prod([card[v] for v in extra]):
             bv = bv.copy()
     bv = bv.reshape([card[v] if v in b.vars else 1 for v in scope])
-    return _Factor(scope, np.multiply(a.values, bv, order="C"))
-
-
-# a table of at most this many entries is summed by one ufunc call, which is
-# faster there than a call per slab and slower on large tables
-_REDUCE_ENTRIES = 256
+    # the product holds na times the extra axes' entries, at most na * nb
+    if na * nb < _SPLIT_ENTRIES or _CPUS < 2 or na * math.prod(bv.shape[: len(extra)]) < _SPLIT_ENTRIES:
+        return _Factor(scope, np.multiply(a.values, bv, order="C"))
+    av = a.values.reshape((1,) * len(extra) + a.values.shape)
+    return _Factor(scope, _in_runs(_product_cells, np.empty([card[v] for v in scope]), av, bv))
 
 
 def _sum_out(f: _Factor, var: str) -> _Factor:
@@ -437,16 +543,20 @@ def _sum_out(f: _Factor, var: str) -> _Factor:
     signed zeros is +0.0) plus the slabs in state order. A small table whose
     ``var`` has fewer than 8 states, which ``np.add.reduce`` adds one by one
     (it adds 8 or more pairwise), is summed in one call; any other is summed
-    slab by slab."""
+    slab by slab, in runs of the result's cells when it is large."""
 
     axis = f.vars.index(var)
     values = f.values
     rest = f.vars[:axis] + f.vars[axis + 1 :]
     if values.size <= _REDUCE_ENTRIES and values.shape[axis] < 8:
         return _Factor(rest, np.add.reduce(values, axis=axis, initial=0.0))
+    states = values.shape[axis]
+    if values.size >= _SPLIT_ENTRIES * states and _CPUS > 1:
+        out = np.empty(values.shape[:axis] + values.shape[axis + 1 :])
+        return _Factor(rest, _in_runs(_sum_cells, out, values, axis))
     lead = (slice(None),) * axis
     out = values[lead + (0,)] + 0.0
-    for s in range(1, values.shape[axis]):
+    for s in range(1, states):
         out += values[lead + (s,)]
     return _Factor(rest, out)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -320,6 +321,14 @@ def network_to_dict(network: BayesianNetwork) -> dict:
     }
 
 
+def holds_path_separator(name: str) -> bool:
+    """Whether ``name`` holds a path separator or NUL. A program file is named
+    after its network, and such a name would put it outside its directory or
+    name no file at all."""
+
+    return not {"/", os.sep, "\0"}.isdisjoint(name)
+
+
 def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = True) -> BayesianNetwork:
     """Build a network from parsed JSON, with strict schema checks.
 
@@ -338,6 +347,8 @@ def network_from_dict(doc: object, *, renormalize: bool = False, check: bool = T
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise NetworkFormatError("missing or empty network name")
+    if holds_path_separator(name):
+        raise NetworkFormatError(f"network name {name!r} holds a path separator or NUL")
     entity = doc.get("entity", "x")
     if not isinstance(entity, str) or not entity:
         raise NetworkFormatError("entity must be a nonempty string")

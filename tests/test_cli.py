@@ -91,6 +91,16 @@ class TestValidate:
         doc = machine(out)
         assert doc["valid"] is True and doc["network"] == "gallstone"
 
+    def test_path_like_network_name_exits_1(self, capsys, tmp_path):
+        # the reader refuses the name, so validate and gen-dataset agree on it
+        doc = json.loads(Path(NET).read_text(encoding="utf-8"))
+        doc["name"] = "../escaped"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: NetworkFormatError: {bad}: network name '../escaped' holds a path separator or NUL\n"
+
     def test_invalid_network_exits_1(self, capsys, tmp_path):
         doc = json.loads(Path(NET).read_text())
         doc["cpts"][0]["rows"][0]["p"] = [0.9, 0.9]
@@ -521,6 +531,14 @@ class TestTranslation:
             main(["from-problog", program_file, "--name", "", "-o", str(out_path)])
         assert exc.value.code == 2
         assert "--name: expected a non-empty name" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_from_problog_refuses_a_path_like_name(self, capsys, tmp_path, program_file):
+        out_path = tmp_path / "net.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["from-problog", program_file, "--name", "a/b", "-o", str(out_path)])
+        assert exc.value.code == 2
+        assert "--name: name 'a/b' holds a path separator or NUL" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_syntax_error_exits_1(self, capsys, tmp_path):

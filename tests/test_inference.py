@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 import gc
 import itertools
 import json
+import multiprocessing
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -339,6 +344,119 @@ class TestLayouts:
         for net, want in zip(_cliff_networks(), pinned, strict=True):
             got = masked_posterior(net, "v75", {"v0": "s1", "v40": "s2"})
             assert tuple(float(x).hex() for x in got) == want, net.name
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def _cliff_answer_in_child(net, conn):
+    """Send the cliff query's bits and whether this process made its own pool."""
+
+    bits = _hex(masked_posterior(net, "v75", {"v0": "s1", "v40": "s2"}))
+    conn.send((bits, inference._pool is not None and inference._pool[0] == os.getpid()))
+
+
+class TestSplitRuns:
+    """A product or sum of at least ``_SPLIT_ENTRIES`` entries is filled in
+    runs of its cells on a thread pool: the bits stay those of one call."""
+
+    @pytest.fixture
+    def fresh_pool(self, monkeypatch):
+        # the test starts a pool of its own, as a process does on its first split
+        monkeypatch.setattr(inference, "_pool", None)
+
+    @staticmethod
+    def _cases(gallstone_net):
+        rng = np.random.default_rng(3030)
+        cases = [(gallstone_net, "amylase", {"flatulence": "true"})]
+        for i in range(300):
+            net = netgen.random_network(rng, name=f"split{i}")
+            qv, _, ev = netgen.random_point_query(rng, net)
+            cases.append((net, qv, ev))
+            cases.append((net, qv, {v: {t for t in net.states(v) if t == s or rng.random() < 0.5} for v, s in ev.items()}))
+        cases.extend((net, "v75", {"v0": "s1", "v40": "s2"}) for net in _cliff_networks())
+        cases.append((_grid(12), "g11_11", {"g0_0": "t"}))
+        return cases
+
+    def test_forced_split_keeps_every_bit(self, monkeypatch, fresh_pool, gallstone_net):
+        cases = self._cases(gallstone_net)
+        monkeypatch.setattr(inference, "_CPUS", 3)  # uneven runs, and a pool on any machine
+        monkeypatch.setattr(inference, "_SPLIT_ENTRIES", float("inf"))
+        want = [_hex(masked_posterior(net, v, ev)) for net, v, ev in cases]
+
+        # every product splits, and with no sum left to np.add.reduce, every sum
+        monkeypatch.setattr(inference, "_SPLIT_ENTRIES", 0)
+        monkeypatch.setattr(inference, "_REDUCE_ENTRIES", -1)
+        calls = collections.Counter()
+        multiply, sum_out, in_runs = inference._multiply, inference._sum_out, inference._in_runs
+
+        def counting_multiply(a, b, card):
+            calls["products"] += 1
+            return multiply(a, b, card)
+
+        def counting_sum_out(f, var):
+            calls["sums"] += 1
+            return sum_out(f, var)
+
+        def counting_in_runs(fill, out, *operands):
+            calls[fill.__name__] += 1
+            return in_runs(fill, out, *operands)
+
+        monkeypatch.setattr(inference, "_multiply", counting_multiply)
+        monkeypatch.setattr(inference, "_sum_out", counting_sum_out)
+        monkeypatch.setattr(inference, "_in_runs", counting_in_runs)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # threads interleave between bytecodes far more often
+        try:
+            got = [_hex(masked_posterior(net, v, ev)) for net, v, ev in cases]
+        finally:
+            sys.setswitchinterval(switch)
+        for (net, _, _), bits, want_bits in zip(cases, got, want, strict=True):
+            assert bits == want_bits, net.name
+        assert calls["_product_cells"] == calls["products"] > 0
+        assert calls["_sum_cells"] == calls["sums"] > 0
+
+    def test_a_pool_thread_error_reaches_the_caller(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(inference, "_CPUS", 2)
+        filled = []
+
+        def fill(cells, out):
+            if cells[0] != (0,):
+                raise ValueError("run failed")
+            filled.append(threading.current_thread())
+
+        with pytest.raises(ValueError, match="run failed"):
+            inference._in_runs(fill, np.empty((8, 3)))
+        assert filled == [threading.current_thread()]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch, fresh_pool):
+        net = next(_cliff_networks())
+        monkeypatch.setattr(inference, "_CPUS", 2)
+        want = _hex(masked_posterior(net, "v75", {"v0": "s1", "v40": "s2"}))
+        assert inference._pool is not None  # the parent has split, so its pool has a thread
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_cliff_answer_in_child, args=(net, send))
+        child.start()
+        try:
+            assert receive.poll(20), "the forked child gave no answer within 20 s"
+            assert receive.recv() == (want, True)
+        finally:
+            child.kill()
+            child.join(5)
+        assert not child.is_alive()
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, fresh_pool):
+        nets = list(_cliff_networks())
+        monkeypatch.setattr(inference, "_CPUS", 1)
+        threads = threading.active_count()
+        got = [_hex(masked_posterior(net, "v75", {"v0": "s1", "v40": "s2"})) for net in nets]
+        assert threading.active_count() == threads and inference._pool is None
+        monkeypatch.setattr(inference, "_CPUS", 2)
+        assert [_hex(masked_posterior(net, "v75", {"v0": "s1", "v40": "s2"})) for net in nets] == got
+        assert inference._pool is not None
 
 
 class TestElimination:
