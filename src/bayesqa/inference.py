@@ -13,21 +13,23 @@ Two independent engines answer the same questions:
   most :data:`MAX_JOINT_STATES` entries; larger spaces are refused up front.
 * variable elimination — numpy factor tables, min-degree elimination order
   with lexicographic tie-breaking. The whole order is worked out on the moral
-  graph first, and a query whose largest table would exceed
-  :data:`MAX_FACTOR_ENTRIES` is refused before any table is made. A table's
-  axes are in memory order, not sorted: a CPT is its compiled table, a
-  product keeps its larger operand's layout and puts the other's extra
-  variables in front of it, and a sum adds its slabs in state order.
-  A layout only decides where an entry is stored: the floats multiplied, and
-  the state order of every sum, do not depend on it. A product or sum whose
-  result holds at least ``_SPLIT_ENTRIES`` entries is filled in contiguous
-  runs of its cells, one per usable CPU, at the same time: the calling
-  thread fills one run and a pool of threads, started on first use, the
-  others. Each entry is still the same one product, or +0.0 plus the same
-  slabs in state order, so no bit moves. With one usable CPU no thread is
-  started, and a forked child makes its own pool. :func:`masked_posterior`
-  returns the unnormalized vector; :func:`posterior` and :func:`eliminate`
-  normalize it.
+  graph first, in one pass over a heap of ``(degree, name)`` entries that
+  re-scores only each eliminated variable's neighbours; it is the order a
+  scan of every remaining variable per step picks. A query whose largest
+  table would exceed :data:`MAX_FACTOR_ENTRIES` is refused before any table
+  is made. A table's axes are in memory order, not sorted: a CPT is its
+  compiled table, a product keeps its larger operand's layout and puts the
+  other's extra variables in front of it, and a sum adds its slabs in state
+  order. A layout only decides where an entry is stored: the floats
+  multiplied, and the state order of every sum, do not depend on it. A
+  product or sum whose result holds at least ``_SPLIT_ENTRIES`` entries is
+  filled in contiguous runs of its cells, one per usable CPU, at the same
+  time: the calling thread fills one run and a pool of threads, started on
+  first use, the others. Each entry is still the same one product, or +0.0
+  plus the same slabs in state order, so no bit moves. With one usable CPU no
+  thread is started, and a forked child makes its own pool.
+  :func:`masked_posterior` returns the unnormalized vector; :func:`posterior`
+  and :func:`eliminate` normalize it.
 
 Every engine takes a network, reads names from it and indices from its
 :class:`CompiledNetwork`, and takes evidence and targets through one
@@ -50,6 +52,7 @@ multiplies and sums.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import os
@@ -161,40 +164,51 @@ class CompiledNetwork:
             return plan
         card = self.card
 
-        # min degree, ties by name. An eliminated variable leaves every neighbour
-        # set, so the only neighbour not to be eliminated is ``variable``. A
-        # bucket's product spans its variable and that variable's neighbours.
+        # Min degree, ties by name, popped from a heap of (degree, name)
+        # entries. An elimination changes only its neighbours' degrees, so only
+        # they are pushed again; an entry whose variable is gone or whose
+        # degree has moved since is stale and skipped, so the order is the one
+        # a scan of every remaining variable at each step picks. An eliminated
+        # variable leaves every neighbour set, so the only neighbour not to be
+        # eliminated is ``variable``. A bucket's product spans its variable and
+        # that variable's neighbours, and its result spans the neighbours, so
+        # ``made`` records each popped set; none is changed after the pop.
         # Masks are unary, so they add no edge to the moral graph.
-        to_eliminate = set(self.order) - {variable}
         neighbors: dict[str, set[str]] = {v: set(n) for v, n in self.moral().items()}
+
+        def degree(v: str) -> int:
+            return len(neighbors[v]) - (variable in neighbors[v])
+
+        heap = [(degree(v), v) for v in self.order if v != variable]
+        heapq.heapify(heap)
         order: list[str] = []
+        made: list[set[str]] = []
         largest = 0
-        while to_eliminate:
-            target = min(to_eliminate, key=lambda v: (len(neighbors[v]) - (variable in neighbors[v]), v))
+        while heap:
+            d, target = heapq.heappop(heap)
+            if target not in neighbors or d != degree(target):
+                continue
             linked = neighbors.pop(target)
             largest = max(largest, card[target] * math.prod(card[a] for a in linked))
             for a in linked:
                 neighbors[a].discard(target)
                 neighbors[a].update(linked - {a})
-            to_eliminate.discard(target)
+                if a != variable:
+                    heapq.heappush(heap, (degree(a), a))
             order.append(target)
+            made.append(linked)
 
         # A CPT, and a bucket's result, joins the bucket of the first variable
         # of its scope to be eliminated; what no bucket takes is left for
         # ``variable``. Taken in declaration and creation order, each bucket
         # lists them as a walk over one list of factors would meet them.
-        scopes = [f.vars for f in self.factors]
         rank = {v: k for k, v in enumerate(order)}
         last = len(order)
         cpts: list[list[int]] = [[] for _ in range(last + 1)]
         earlier: list[list[int]] = [[] for _ in range(last + 1)]
-        for i, scope in enumerate(scopes):
-            cpts[min([rank.get(v, last) for v in scope])].append(i)
-        made: list[set[str]] = []
-        for k, target in enumerate(order):
-            scope = set().union(*[scopes[i] for i in cpts[k]], *[made[j] for j in earlier[k]])
-            scope.discard(target)
-            made.append(scope)
+        for i, f in enumerate(self.factors):
+            cpts[min([rank.get(v, last) for v in f.vars])].append(i)
+        for k, scope in enumerate(made):
             earlier[min([rank.get(v, last) for v in scope], default=last)].append(k)
         buckets = tuple((target, tuple(cpts[k]), tuple(earlier[k])) for k, target in enumerate(order))
         plan = self._plans[variable] = _Plan(largest, buckets, (tuple(cpts[last]), tuple(earlier[last])))

@@ -162,7 +162,7 @@ def topological_order(network: BayesianNetwork) -> list[str]:
     """
 
     remaining = {
-        v: set(network.cpts[v].parents if v in network.cpts else ()) & set(network.variables)
+        v: {p for p in (network.cpts[v].parents if v in network.cpts else ()) if p in network.variables}
         for v in network.variables
     }
     ready = [v for v, deps in remaining.items() if not deps]

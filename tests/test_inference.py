@@ -7,11 +7,13 @@ import functools
 import gc
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -279,6 +281,73 @@ class TestEliminationMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * 8 * 3**13, net.name
+
+
+def _scan_plan(compiled, variable):
+    """The plan as a scan works it out: each step takes the least
+    ``(degree, name)`` over every remaining variable, and each bucket's result
+    scope is rebuilt as the union of the scopes it multiplies. Kept to check
+    ``CompiledNetwork.plan`` against, step for step."""
+
+    card = compiled.card
+    to_eliminate = set(compiled.order) - {variable}
+    neighbors: dict[str, set[str]] = {v: set(n) for v, n in compiled.moral().items()}
+    order: list[str] = []
+    largest = 0
+    while to_eliminate:
+        target = min(to_eliminate, key=lambda v: (len(neighbors[v]) - (variable in neighbors[v]), v))
+        linked = neighbors.pop(target)
+        largest = max(largest, card[target] * math.prod(card[a] for a in linked))
+        for a in linked:
+            neighbors[a].discard(target)
+            neighbors[a].update(linked - {a})
+        to_eliminate.discard(target)
+        order.append(target)
+
+    scopes = [f.vars for f in compiled.factors]
+    rank = {v: k for k, v in enumerate(order)}
+    last = len(order)
+    cpts: list[list[int]] = [[] for _ in range(last + 1)]
+    earlier: list[list[int]] = [[] for _ in range(last + 1)]
+    for i, scope in enumerate(scopes):
+        cpts[min([rank.get(v, last) for v in scope])].append(i)
+    made: list[set[str]] = []
+    for k, target in enumerate(order):
+        scope = set().union(*[scopes[i] for i in cpts[k]], *[made[j] for j in earlier[k]])
+        scope.discard(target)
+        made.append(scope)
+        earlier[min([rank.get(v, last) for v in scope], default=last)].append(k)
+    buckets = tuple((target, tuple(cpts[k]), tuple(earlier[k])) for k, target in enumerate(order))
+    return inference._Plan(largest, buckets, (tuple(cpts[last]), tuple(earlier[last])))
+
+
+class TestPlan:
+    def test_heap_plans_match_the_scan(self):
+        # the same order, largest table, buckets and leftovers for every
+        # variable as the query, on random, grid, cliff and long-chain networks
+        rng = np.random.default_rng(1414)
+        nets = [
+            netgen.random_network(rng, name=f"order{i}", max_vars=24 if i % 4 == 0 else 8, max_states=4)
+            for i in range(520)
+        ]
+        nets += [_grid(n) for n in range(4, 13)]
+        nets += [*_cliff_networks(), three_state_chain(400)]
+        planned = 0
+        for net in nets:
+            compiled = CompiledNetwork(net)
+            for v in net.variables:
+                assert compiled.plan(v) == _scan_plan(compiled, v), (net.name, v)
+                planned += 1
+        assert planned > 3000
+
+    def test_a_long_chain_answers_in_seconds(self):
+        # min degree takes the chain's ends first and walks in; a plan that
+        # scanned every remaining variable per step would take tens of seconds
+        net = three_state_chain(10_000)
+        start = time.perf_counter()
+        got = eliminate(net, "v9999", "s0", {"v0": "s1"}).probability
+        assert time.perf_counter() - start < 5.0
+        assert got == pytest.approx(0.2, abs=1e-12)
 
 
 class TestLayouts:

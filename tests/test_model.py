@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 
 import pytest
 
@@ -26,6 +27,7 @@ from bayesqa.model import (
     validate,
     write_records,
 )
+from conftest import three_state_chain
 
 
 def _chain():
@@ -74,6 +76,16 @@ class TestStructure:
         )
         with pytest.raises(NetworkFormatError):
             topological_order(net)
+
+    def test_topological_order_is_linear_on_a_long_chain(self):
+        # each parent is looked up among the network's names, with no set of
+        # every name built per variable: 20,000 variables take well under a
+        # second, not tens of seconds
+        net = three_state_chain(20_000)
+        start = time.perf_counter()
+        order = topological_order(net)
+        assert time.perf_counter() - start < 2.0
+        assert order == [f"v{i}" for i in range(20_000)]
 
     def test_parent_assignments_row_major(self):
         net = make_network(
